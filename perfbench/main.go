@@ -9,7 +9,10 @@
 // Every run does the same work: S seconds at the workload's nominal
 // rate (spec.nominalRate) fixes each rank's operation count, so a run
 // measures about S seconds on a host of that speed and the namespace
-// meta-mix builds is the same size in every run.
+// meta-mix builds is the same size in every run. Before timing, the
+// ranks warm up for warmSeconds' worth of operations. The rate is the
+// median over short windows of each rank's operations, so stalls that
+// other tenants of the host put into a few windows do not set it.
 //
 // With --trace 0 it sets the deployment up several times (reporting
 // the median set-up time) and measures the last one with no probes in
@@ -39,7 +42,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +53,11 @@ import (
 // setupRuns is how many times the untraced mode sets a deployment up;
 // setup_s is the median.
 const setupRuns = 5
+
+// warmSeconds is how long, at the workload's nominal rate, the ranks
+// run before timing starts: long enough for the first seconds' ramp
+// (connection buffers, heap growth, idle CPUs waking) to pass.
+const warmSeconds = 2
 
 func main() { os.Exit(benchMain(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -121,6 +128,15 @@ func opsPerRank(sp spec, seconds int) int {
 	return max(p, (n+p-1)/p*p)
 }
 
+// rateWindow is the number of consecutive operations of one rank over
+// which throughput takes its rate: whole periods of the operation mix,
+// at least minWindow operations.
+func rateWindow(sp spec) int {
+	const minWindow = 10
+	p := sp.period()
+	return (minWindow + p - 1) / p * p
+}
+
 // perRank is n operations on every rank.
 func perRank(n int) []int {
 	t := make([]int, numRanks)
@@ -180,11 +196,11 @@ func (b *bench) untraced() (*report, error) {
 	// JSON rate and median are scaled to the unstolen time; the table
 	// below also prints them as measured.
 	unstolen := ph.unstolen()
-	rawOps := throughput(all)
+	rawOps := throughput(ph.rankLatencies(), rateWindow(b.spec))
 	rawP50, _ := steadyQuantile(main, 0.5)
 	opsS, p50 := rawOps/unstolen, rawP50*unstolen
 	cpu := ratio(ms(ph.cpu), float64(len(all)))
-	rss := peakRSS()
+	rss := ph.peakRSS
 	rep.add("ops_s", opsS, "1/s")
 	rep.add("p50_ms", p50, "ms")
 	rep.add("cpu_ms_per_op", cpu, "ms")
@@ -198,8 +214,10 @@ func (b *bench) untraced() (*report, error) {
 	fmt.Fprintf(w, "ops_s %.2f 1/s (n=%d; %.2f before the steal correction)\n", opsS, len(all), rawOps)
 	if b.spec.touchesData() {
 		var payload int64
-		for _, sm := range ph.samples {
-			payload += sm.payload
+		for _, rs := range ph.ranks {
+			for _, sm := range rs {
+				payload += sm.payload
+			}
 		}
 		fmt.Fprintf(w, "mb_s %.2f MB/s (as measured)\n", rawOps*ratio(float64(payload), float64(len(all)))/1e6)
 		printLatency(w, "io", main)
@@ -368,10 +386,11 @@ const syscallSlack = 100
 // phase is one measured stretch of a workload on one deployment.
 type phase struct {
 	ops, last         []int
-	samples           []sample // in completion order
+	ranks             [][]sample // each rank's, in the order it ran them
 	attempted, failed int64
 	errs              []error
 	cpu               time.Duration // process CPU, checking excluded
+	peakRSS           float64       // MiB, when the ranks finished
 	steal             float64       // machine's stolen CPU share; -1 unknown
 	rt0, rt1          runtimeSample
 	client            client.CounterValues
@@ -396,19 +415,44 @@ func (p *phase) unstolen() float64 {
 // busyTotal is the summed latency of every operation.
 func (p *phase) busyTotal() float64 {
 	var t float64
-	for _, s := range p.samples {
-		t += s.ms
+	for _, rs := range p.ranks {
+		for _, s := range rs {
+			t += s.ms
+		}
 	}
 	return t
 }
 
 // latencies returns the latencies of class (all classes for -1) in
-// completion order.
+// completion order, merging the ranks' samples.
 func (p *phase) latencies(class int) []float64 {
 	var out []float64
-	for _, s := range p.samples {
+	next := make([]int, len(p.ranks))
+	for {
+		r := -1
+		for k, rs := range p.ranks {
+			if next[k] < len(rs) && (r < 0 || rs[next[k]].end < p.ranks[r][next[r]].end) {
+				r = k
+			}
+		}
+		if r < 0 {
+			return out
+		}
+		s := p.ranks[r][next[r]]
+		next[r]++
 		if class < 0 || s.class == class {
 			out = append(out, s.ms)
+		}
+	}
+}
+
+// rankLatencies returns every rank's latencies in the order it ran
+// its operations.
+func (p *phase) rankLatencies() [][]float64 {
+	out := make([][]float64, len(p.ranks))
+	for r, rs := range p.ranks {
+		for _, s := range rs {
+			out[r] = append(out[r], s.ms)
 		}
 	}
 	return out
@@ -441,7 +485,7 @@ const maxErrs = 5
 // operations on rank r.
 func (b *bench) measure(d *deployment, bd bound, target []int) (*phase, error) {
 	ctx := context.Background()
-	warm := b.spec.warmup()
+	warm := opsPerRank(b.spec, warmSeconds)
 	err := runRanks(func(r int) error {
 		for i := 0; i < warm; i++ {
 			if _, _, err := bd.op(ctx, r, i); err != nil {
@@ -457,7 +501,7 @@ func (b *bench) measure(d *deployment, bd bound, target []int) (*phase, error) {
 		return nil, err
 	}
 
-	ph := &phase{ops: make([]int, numRanks), last: make([]int, numRanks)}
+	ph := &phase{ops: make([]int, numRanks), last: make([]int, numRanks), ranks: make([][]sample, numRanks)}
 	pr := d.probes
 	var st0 [nMethods]int64
 	var stNanos0, blocked0, cbytes0, cwrites0, creqs0 int64
@@ -521,10 +565,9 @@ func (b *bench) measure(d *deployment, bd bound, target []int) (*phase, error) {
 				}
 			}
 		}
-		ph.ops[r], ph.last[r] = n, i-1
+		ph.ops[r], ph.last[r], ph.ranks[r] = n, i-1, samples
 		mu.Lock()
 		defer mu.Unlock()
-		ph.samples = append(ph.samples, samples...)
 		ph.trace.self += tt.self
 		ph.trace.covered += tt.covered
 		ph.trace.wireSum += tt.wireSum
@@ -538,11 +581,13 @@ func (b *bench) measure(d *deployment, bd bound, target []int) (*phase, error) {
 		return nil, err
 	}
 	ph.cpu = processCPU() - cpu0 - time.Duration(checkCPU.Load())
+	// The benchmark's own work after this point (read-back, statistics)
+	// is left out of the peak.
+	ph.peakRSS = peakRSS()
 	ph.steal = -1
 	if ticks1, steal1, ok := cpuTicks(); ok && ticksOK && ticks1 > ticks0 {
 		ph.steal = float64(steal1-steal0) / float64(ticks1-ticks0)
 	}
-	sort.Slice(ph.samples, func(i, j int) bool { return ph.samples[i].end < ph.samples[j].end })
 	ph.rt1 = readRuntime()
 	c1 := d.clientCounters()
 	ph.client = client.CounterValues{

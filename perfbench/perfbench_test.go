@@ -251,7 +251,46 @@ func TestSteadyStatsIgnoreOneBadThird(t *testing.T) {
 	if v, ok := steadyQuantile(lat, 0.5); v != 1 || !ok {
 		t.Errorf("p50 %v ok %v", v, ok)
 	}
-	if got, want := throughput(lat), float64(numRanks)*1000; got != want {
+	ranks := make([][]float64, numRanks)
+	for r := range ranks {
+		ranks[r] = lat
+	}
+	if got, want := throughput(ranks, 10), float64(numRanks)*1000; got != want {
 		t.Errorf("throughput %v, want %v", got, want)
+	}
+
+	// Nor do stalls scattered through the run, if they hit fewer than
+	// half of the rate windows.
+	lat = nil
+	for i := 0; i < 3000; i++ {
+		v := 1.0
+		if i%30 == 7 {
+			v = 50
+		}
+		lat = append(lat, v)
+	}
+	for r := range ranks {
+		ranks[r] = lat
+	}
+	if got, want := throughput(ranks, 10), float64(numRanks)*1000; got != want {
+		t.Errorf("throughput with stalls %v, want %v", got, want)
+	}
+}
+
+// TestPhaseLatenciesMergeRanks: the merged latencies follow completion
+// order across ranks, and each rank's keep the order it ran them.
+func TestPhaseLatenciesMergeRanks(t *testing.T) {
+	ph := &phase{ranks: [][]sample{
+		{{end: 1, class: classMain, ms: 1}, {end: 4, class: classLookup, ms: 4}},
+		{{end: 2, class: classLookup, ms: 2}, {end: 3, class: classMain, ms: 3}, {end: 5, class: classMain, ms: 5}},
+	}}
+	if got := fmt.Sprint(ph.latencies(-1)); got != "[1 2 3 4 5]" {
+		t.Errorf("all classes: %s", got)
+	}
+	if got := fmt.Sprint(ph.latencies(classMain)); got != "[1 3 5]" {
+		t.Errorf("main class: %s", got)
+	}
+	if got := fmt.Sprint(ph.rankLatencies()); got != "[[1 4] [2 3 5]]" {
+		t.Errorf("per rank: %s", got)
 	}
 }

@@ -30,8 +30,8 @@ func quantile(samples []float64, q float64) (v float64, ok bool) {
 }
 
 // parts is how many equal, consecutive parts of a run steadyQuantile
-// and throughput take the median over, so that one stretch of
-// interference from outside the benchmark does not set the result.
+// takes the median over, so that one stretch of interference from
+// outside the benchmark does not set the result.
 const parts = 3
 
 // split cuts xs into parts consecutive pieces of equal length, the
@@ -69,19 +69,28 @@ func steadyQuantile(lat []float64, q float64) (float64, bool) {
 	return median3(v), ok
 }
 
-// throughput is the median over the run's parts of the closed-loop
-// rate: ranks over mean latency (Little's law with every rank always
-// in a call), which leaves out the time spent checking outputs.
-func throughput(lat []float64) float64 {
-	var v [parts]float64
-	for k, p := range split(lat) {
-		var sum float64
-		for _, x := range p {
-			sum += x
+// throughput is the closed-loop rate of the ranks, given each rank's
+// latencies in the order it ran them: the sum over ranks of the
+// median, over the rank's consecutive windows of w operations, of w
+// over the window's summed latency. Summing latencies leaves out the
+// time spent checking outputs (Little's law with every rank always in
+// a call), and the median over short windows leaves out the stalls
+// that other tenants of a shared host put into a few of them.
+func throughput(ranks [][]float64, w int) float64 {
+	var total float64
+	for _, lat := range ranks {
+		var rates []float64
+		for k := 0; k+w <= len(lat); k += w {
+			var sum float64
+			for _, x := range lat[k : k+w] {
+				sum += x
+			}
+			rates = append(rates, ratio(float64(w)*1000, sum))
 		}
-		v[k] = ratio(float64(numRanks*len(p))*1000, sum)
+		m, _ := quantile(rates, 0.5)
+		total += m
 	}
-	return median3(v)
+	return total
 }
 
 // processCPU is the process's user plus system CPU time.

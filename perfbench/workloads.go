@@ -38,13 +38,12 @@ type spec interface {
 	// predict is the closed-form request and region count of one
 	// operation of rank.
 	predict(rank int) counts
-	// warmup is the number of operations each rank runs before timing.
-	warmup() int
 	// period is the length of the workload's operation mix; a rank runs
 	// whole periods.
 	period() int
 	// nominalRate is the operations per second, over all ranks, that
-	// the workload sustained on the host the benchmark was sized on.
+	// size a run: about the rate the workload sustained on the host the
+	// benchmark was sized on (2 vCPUs of a shared host).
 	nominalRate() float64
 	// touchesData reports whether the workload uses the I/O daemons
 	// after set-up.
@@ -157,9 +156,8 @@ func (s *flashSpec) predict(rank int) counts {
 	return s.pred[rank]
 }
 
-func (s *flashSpec) warmup() int          { return 2 }
 func (s *flashSpec) period() int          { return 2 }
-func (s *flashSpec) nominalRate() float64 { return 150 }
+func (s *flashSpec) nominalRate() float64 { return 200 }
 func (s *flashSpec) touchesData() bool    { return true }
 func (s *flashSpec) sizes() string {
 	return fmt.Sprintf("%d ranks x %d blocks of %d^3 cells x %d vars: %d file regions of %d B and %d memory pieces of 8 B per rank, %d B file, stripe %d B over %d daemons",
@@ -300,9 +298,8 @@ func (s *cyclicSpec) predict(rank int) counts {
 	return s.pred[rank]
 }
 
-func (s *cyclicSpec) warmup() int          { return 2 }
 func (s *cyclicSpec) period() int          { return 1 }
-func (s *cyclicSpec) nominalRate() float64 { return 150 }
+func (s *cyclicSpec) nominalRate() float64 { return 190 }
 func (s *cyclicSpec) touchesData() bool    { return true }
 func (s *cyclicSpec) sizes() string {
 	return fmt.Sprintf("%d ranks x %d regions of %d B, %d B file, stripe %d B over %d daemons",
@@ -367,10 +364,14 @@ const (
 
 // predict: every create, open and stat is one request to a shard.
 func (m metaMix) predict(rank int) counts { return counts{requests: 1} }
-func (m metaMix) warmup() int             { return mixPeriod }
 func (m metaMix) period() int             { return mixPeriod }
-func (m metaMix) nominalRate() float64    { return 12000 }
 func (m metaMix) touchesData() bool       { return false }
+
+// nominalRate is under half the rate meta-mix sustains: every create
+// adds a file, and the larger namespace of a longer run makes the peak
+// memory spread more from run to run.
+func (m metaMix) nominalRate() float64 { return 10000 }
+
 func (m metaMix) sizes() string {
 	return fmt.Sprintf("%d ranks, each looping 1 create + %d opens + %d stats on %d masters and %d shards",
 		numRanks, lookupsPerCreate/2, lookupsPerCreate/2, numMasters, numShards)
