@@ -1,5 +1,5 @@
 // Command pvfs-iod runs a PVFS I/O daemon: the server that stores
-// stripe data and services contiguous, list, and strided I/O requests
+// stripe data and services contiguous, list, and datatype I/O requests
 // from clients.
 //
 // Usage:

@@ -57,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	after := fs.Counters().Snapshot()
-	fmt.Printf("  read with %d requests (vector ships as one strided descriptor per server)\n",
+	fmt.Printf("  read with %d requests (vector ships as one datatype request per server)\n",
 		after.Requests-before.Requests)
 	fmt.Printf("  list I/O would need %d requests; multiple I/O %d\n\n",
 		(column.Blocks()+63)/64, column.Blocks())

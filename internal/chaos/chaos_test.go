@@ -180,24 +180,33 @@ func chaosShards(t *testing.T) int {
 // (DESIGN.md §13): a seeded create/write/stat storm runs while the
 // master leader is repeatedly crash-restarted. Zero acked creates may
 // be lost, and the surviving namespace must be byte-identical to a
-// healthy shadow cluster's.
+// healthy shadow cluster's. The one-rank case hands each shard
+// proposer one record at a time, so every group-commit batch holds a
+// single entry across the failovers.
 func TestChaosMetaLeaderFailover(t *testing.T) {
-	seed := suiteSeed(t)
-	before := runtime.NumGoroutine()
-	s := chaos.MetaScenario{Name: "meta-failover", Shards: chaosShards(t), Files: 40, Kill: true}
-	rep, err := chaos.RunMeta(seed, s)
-	t.Logf("%s: %v (replay: PVFS_CHAOS_SEED=%d go test -race ./internal/chaos -run %s)",
-		s.Name, rep, seed, t.Name())
-	if err != nil {
-		t.Fatalf("scenario %s failed under seed %d: %v", s.Name, seed, err)
+	for _, s := range []chaos.MetaScenario{
+		{Name: "meta-failover", Files: 40},
+		{Name: "meta-failover-serial", Ranks: 1, Files: 80},
+	} {
+		t.Run(s.Name, func(t *testing.T) {
+			seed := suiteSeed(t)
+			before := runtime.NumGoroutine()
+			s.Shards, s.Kill = chaosShards(t), true
+			rep, err := chaos.RunMeta(seed, s)
+			t.Logf("%s: %v (replay: PVFS_CHAOS_SEED=%d go test -race ./internal/chaos -run %s)",
+				s.Name, rep, seed, t.Name())
+			if err != nil {
+				t.Fatalf("scenario %s failed under seed %d: %v", s.Name, seed, err)
+			}
+			if rep.Kills == 0 {
+				t.Errorf("leader killer never fired; the storm finished before any crash")
+			}
+			if rep.Acked == 0 {
+				t.Error("no creates acked")
+			}
+			settleGoroutines(t, before)
+		})
 	}
-	if rep.Kills == 0 {
-		t.Errorf("leader killer never fired; the storm finished before any crash")
-	}
-	if rep.Acked == 0 {
-		t.Error("no creates acked")
-	}
-	settleGoroutines(t, before)
 }
 
 // TestChaosMetaKillAtBatchBoundary pins the leader killer to group-
@@ -220,28 +229,6 @@ func TestChaosMetaKillAtBatchBoundary(t *testing.T) {
 	}
 	if rep.Kills == 0 {
 		t.Errorf("leader killer never fired; the storm finished before any crash")
-	}
-	settleGoroutines(t, before)
-}
-
-// TestChaosMetaFailoverNoBatch reruns the leader-failover storm with
-// group commit forced off via the PVFS_NO_META_BATCH knob (read by
-// both the master nodes and the shard proposers): the solo fallback
-// must give the same zero-loss guarantee. CI also runs the whole
-// chaos suite under this knob as a matrix leg.
-func TestChaosMetaFailoverNoBatch(t *testing.T) {
-	t.Setenv("PVFS_NO_META_BATCH", "1")
-	seed := suiteSeed(t)
-	before := runtime.NumGoroutine()
-	s := chaos.MetaScenario{Name: "meta-failover-solo", Shards: chaosShards(t), Files: 24, Kill: true}
-	rep, err := chaos.RunMeta(seed, s)
-	t.Logf("%s: %v (replay: PVFS_CHAOS_SEED=%d go test -race ./internal/chaos -run %s)",
-		s.Name, rep, seed, t.Name())
-	if err != nil {
-		t.Fatalf("scenario %s failed under seed %d: %v", s.Name, seed, err)
-	}
-	if rep.Acked == 0 {
-		t.Error("no creates acked")
 	}
 	settleGoroutines(t, before)
 }

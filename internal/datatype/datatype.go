@@ -441,7 +441,7 @@ func (s structT) String() string { return fmt.Sprintf("struct(%d fields)", len(s
 
 // AsVector reports whether the type flattens to a uniform vector
 // (count blocks of blockLen bytes every strideBytes), the shape the
-// wire-level strided descriptor can carry (§5). It inspects the
+// client's Strided shorthand describes (§5). It inspects the
 // flattened regions, so any constructor tree qualifies if its layout
 // is uniform.
 func AsVector(t Type, base int64) (start, strideBytes, blockLen, count int64, ok bool) {

@@ -7,13 +7,8 @@ package iod
 // list the pattern flattens to is never materialized: evaluation state
 // is O(tree depth) regardless of how many contiguous fragments the
 // pattern describes, which is what removes list I/O's linear
-// region-to-request relationship (paper §5).
-//
-// The strided request family (wire.StridedReq, the degenerate vector
-// descriptor that predates the full codec) is serviced by the same
-// engine: the descriptor is reinterpreted as Vector(count, blockLen,
-// stride, bytes(1)) and evaluated with an unwindowed (whole-share)
-// window.
+// region-to-request relationship (paper §5). A strided (vector)
+// access is just a Vector pattern: clients ship it as a datatype.
 
 import (
 	"pvfs/internal/datatype"
@@ -104,26 +99,6 @@ func evalWindow(t datatype.Type, base, count int64, cfg striping.Config, rel int
 		})
 	})
 	return filled, pieces, st
-}
-
-// ownedBytes walks the whole pattern summing relative server rel's
-// share, in O(1) memory per fragment (striping.PhysRange is closed
-// form). It is the unwindowed sizing pass of the strided compatibility
-// path.
-func ownedBytes(t datatype.Type, base, count int64, cfg striping.Config, rel int) (int64, wire.Status) {
-	var total int64
-	budget := maxEvalSegments
-	st := wire.StatusOK
-	datatype.WalkRepeated(t, base, count, 0, func(seg ioseg.Segment) bool {
-		budget--
-		if budget < 0 {
-			st = wire.StatusInvalid
-			return false
-		}
-		total += cfg.PhysRange(rel, seg.Offset, seg.End())
-		return true
-	})
-	return total, st
 }
 
 // vecBatchSegs bounds the physical extents a pattern evaluation
@@ -277,90 +252,6 @@ func (s *Server) writeDatatype(req wire.Message) wire.Message {
 		stats.Regions += pieces
 		stats.BytesWritten += filled
 		stats.TypeBytes += int64(len(body.TypeEnc))
-	})
-	return ok(req.Handle, (&wire.WrittenResp{N: filled}).Marshal())
-}
-
-// maxStridedExpansion caps the block count a strided descriptor may
-// carry, bounding the unwindowed evaluation below.
-const maxStridedExpansion = 1 << 22
-
-// stridedPattern validates a strided descriptor and reinterprets it as
-// a datatype pattern (one repetition of a vector over bytes).
-func stridedPattern(body *wire.StridedReq) (datatype.Type, int64, wire.Status) {
-	if st := checkGeometry(body.Striping, body.RelIndex); st != wire.StatusOK {
-		return nil, 0, st
-	}
-	if body.Count > maxStridedExpansion {
-		return nil, 0, wire.StatusInvalid
-	}
-	t, base := body.AsDatatype()
-	if _, _, err := datatype.CheckPattern(t, base, 1); err != nil {
-		return nil, 0, wire.StatusInvalid
-	}
-	return t, base, wire.StatusOK
-}
-
-func (s *Server) readStrided(req wire.Message) wire.Message {
-	var body wire.StridedReq
-	if err := body.Unmarshal(req.Body); err != nil {
-		return fail(wire.StatusProtocol)
-	}
-	t, base, st := stridedPattern(&body)
-	if st != wire.StatusOK {
-		return fail(st)
-	}
-	owned, st := ownedBytes(t, base, 1, body.Striping, body.RelIndex)
-	if st != wire.StatusOK || owned > wire.MaxBodyLen {
-		return fail(wire.StatusInvalid)
-	}
-	out := wire.GetBuf(int(owned))
-	ap := &vecApplier{s: s, handle: req.Handle, data: out}
-	filled, pieces, st := evalWindow(t, base, 1, body.Striping, body.RelIndex, 0, owned, ap.add)
-	if st == wire.StatusOK && !ap.flush() {
-		st = wire.StatusIOError
-	}
-	if st != wire.StatusOK {
-		wire.PutBuf(out)
-		return fail(st)
-	}
-	s.account(func(stats *wire.ServerStats) {
-		stats.Requests++
-		stats.ListRequests++
-		stats.Regions += pieces
-		stats.BytesRead += filled
-	})
-	return okPooled(req.Handle, out[:filled])
-}
-
-func (s *Server) writeStrided(req wire.Message) wire.Message {
-	var body wire.StridedReq
-	if err := body.Unmarshal(req.Body); err != nil {
-		return fail(wire.StatusProtocol)
-	}
-	t, base, st := stridedPattern(&body)
-	if st != wire.StatusOK {
-		return fail(st)
-	}
-	// The strided request family is unwindowed: the payload must be
-	// exactly this server's share, checked before any byte is applied.
-	owned, st := ownedBytes(t, base, 1, body.Striping, body.RelIndex)
-	if st != wire.StatusOK || owned != int64(len(body.Data)) {
-		return fail(wire.StatusInvalid)
-	}
-	ap := &vecApplier{s: s, handle: req.Handle, data: body.Data, isWrite: true}
-	filled, pieces, st := evalWindow(t, base, 1, body.Striping, body.RelIndex, 0, owned, ap.add)
-	if st == wire.StatusOK && !ap.flush() {
-		st = wire.StatusIOError
-	}
-	if st != wire.StatusOK {
-		return fail(st)
-	}
-	s.account(func(stats *wire.ServerStats) {
-		stats.Requests++
-		stats.ListRequests++
-		stats.Regions += pieces
-		stats.BytesWritten += filled
 	})
 	return ok(req.Handle, (&wire.WrittenResp{N: filled}).Marshal())
 }

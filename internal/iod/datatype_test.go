@@ -17,6 +17,25 @@ import (
 // hundreds of thousands of contiguous fragments must not materialize
 // the region list, so allocations stay flat in fragment count.
 
+// ownedBytes walks the whole pattern summing relative server rel's
+// share, in O(1) memory per fragment (striping.PhysRange is closed
+// form). Tests use it to size whole-share windows.
+func ownedBytes(t datatype.Type, base, count int64, cfg striping.Config, rel int) (int64, wire.Status) {
+	var total int64
+	budget := maxEvalSegments
+	st := wire.StatusOK
+	datatype.WalkRepeated(t, base, count, 0, func(seg ioseg.Segment) bool {
+		budget--
+		if budget < 0 {
+			st = wire.StatusInvalid
+			return false
+		}
+		total += cfg.PhysRange(rel, seg.Offset, seg.End())
+		return true
+	})
+	return total, st
+}
+
 // startTestServer boots a daemon on a memory store plus a raw client
 // connection (the in-package twin of iod_test's startIOD).
 func startTestServer(t *testing.T) (*Server, *pvfsnet.Conn) {

@@ -1,5 +1,5 @@
 // Package iod implements the PVFS I/O daemon: the server that stores
-// stripe data and services contiguous, list, and strided I/O requests.
+// stripe data and services contiguous, list, and datatype I/O requests.
 //
 // The daemon mirrors the behaviour described in the paper:
 //
@@ -9,11 +9,11 @@
 //     file regions as trailing data; the daemon applies each region
 //     against its local stripe file and streams the data back (reads)
 //     or scatters the received stream (writes).
-//   - Strided and datatype requests are the §5 extension: the access
-//     pattern itself (a vector descriptor, or a full encoded datatype
-//     constructor tree) replaces the explicit region list, and the
-//     daemon evaluates it against its own stripe in bounded memory
-//     (see datatype.go and DESIGN.md §6).
+//   - Datatype requests are the §5 extension: the access pattern
+//     itself (an encoded datatype constructor tree; a strided access
+//     is a vector) replaces the explicit region list, and the daemon
+//     evaluates it against its own stripe in bounded memory (see
+//     datatype.go and DESIGN.md §6).
 //
 // Clients address the daemon in physical stripe-file coordinates; the
 // striping math lives in the client library, as in PVFS.
@@ -147,10 +147,6 @@ func (s *Server) handle(req wire.Message) wire.Message {
 		return s.readList(req)
 	case wire.TWriteList:
 		return s.writeList(req)
-	case wire.TReadStrided:
-		return s.readStrided(req)
-	case wire.TWriteStrided:
-		return s.writeStrided(req)
 	case wire.TReadDatatype:
 		return s.readDatatype(req)
 	case wire.TWriteDatatype:

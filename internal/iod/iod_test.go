@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"pvfs/internal/datatype"
 	"pvfs/internal/iod"
 	"pvfs/internal/ioseg"
 	"pvfs/internal/pvfsnet"
@@ -95,18 +96,30 @@ func TestWriteListLengthMismatchRejected(t *testing.T) {
 	}
 }
 
+// stridedReq builds the datatype request a client ships for a strided
+// access: count blocks of blockLen bytes every stride from start, as
+// one Vector repetition. Want is the whole pattern, which is the
+// receiver's share on a one-server stripe.
+func stridedReq(t *testing.T, start, stride, blockLen, count int64, cfg striping.Config, rel int) wire.ReadDatatypeReq {
+	t.Helper()
+	enc, err := datatype.Encode(datatype.Vector(count, blockLen, stride, datatype.Bytes(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.ReadDatatypeReq{Base: start, Count: 1, Want: count * blockLen,
+		Striping: cfg, RelIndex: rel, TypeEnc: enc}
+}
+
 func TestStridedRoundTrip(t *testing.T) {
 	_, c := startIOD(t)
 	cfg := striping.Config{PCount: 1, StripeSize: 1 << 20}
-	// Write 4 blocks of 8 bytes every 100 via descriptor.
+	// Write 4 blocks of 8 bytes every 100 as a vector pattern.
 	data := bytes.Repeat([]byte{0xAB}, 32)
-	req := wire.StridedReq{Start: 50, Stride: 100, BlockLen: 8, Count: 4,
-		Striping: cfg, RelIndex: 0, Data: data}
-	call(t, c, wire.TWriteStrided, 3, req.Marshal())
+	rreq := stridedReq(t, 50, 100, 8, 4, cfg, 0)
+	req := wire.WriteDatatypeReq{ReadDatatypeReq: rreq, Data: data}
+	call(t, c, wire.TWriteDatatype, 3, req.Marshal())
 
-	rreq := wire.StridedReq{Start: 50, Stride: 100, BlockLen: 8, Count: 4,
-		Striping: cfg, RelIndex: 0}
-	resp := call(t, c, wire.TReadStrided, 3, rreq.Marshal())
+	resp := call(t, c, wire.TReadDatatype, 3, rreq.Marshal())
 	if !bytes.Equal(resp.Body, data) {
 		t.Fatalf("strided read = % x", resp.Body)
 	}
@@ -120,18 +133,16 @@ func TestStridedRoundTrip(t *testing.T) {
 
 func TestStridedRejectsBadDescriptor(t *testing.T) {
 	_, c := startIOD(t)
-	bad := wire.StridedReq{Start: 0, Stride: 8, BlockLen: 8, Count: 4,
-		Striping: striping.Config{PCount: 2, StripeSize: 64}, RelIndex: 5}
-	resp, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TReadStrided}, Body: bad.Marshal()})
+	bad := stridedReq(t, 0, 8, 8, 4, striping.Config{PCount: 2, StripeSize: 64}, 5)
+	resp, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TReadDatatype}, Body: bad.Marshal()})
 	if err == nil {
 		t.Fatal("descriptor with out-of-range RelIndex accepted")
 	}
 	if resp.Status != wire.StatusInvalid {
 		t.Fatalf("status = %v", resp.Status)
 	}
-	bad2 := wire.StridedReq{Start: 0, Stride: 8, BlockLen: 8, Count: 4,
-		Striping: striping.Config{PCount: 0, StripeSize: 64}}
-	if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TReadStrided}, Body: bad2.Marshal()}); err == nil {
+	bad2 := stridedReq(t, 0, 8, 8, 4, striping.Config{PCount: 0, StripeSize: 64}, 0)
+	if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TReadDatatype}, Body: bad2.Marshal()}); err == nil {
 		t.Fatal("descriptor with zero pcount accepted")
 	}
 }
@@ -182,7 +193,7 @@ func TestUnknownTypeRejected(t *testing.T) {
 
 func TestMalformedBodiesRejected(t *testing.T) {
 	_, c := startIOD(t)
-	for _, typ := range []wire.MsgType{wire.TRead, wire.TWrite, wire.TReadList, wire.TWriteList, wire.TReadStrided, wire.TTruncate} {
+	for _, typ := range []wire.MsgType{wire.TRead, wire.TWrite, wire.TReadList, wire.TWriteList, wire.TReadDatatype, wire.TWriteDatatype, wire.TTruncate} {
 		resp, err := c.Call(wire.Message{Header: wire.Header{Type: typ}, Body: []byte{1, 2}})
 		if err == nil {
 			t.Errorf("%v: malformed body accepted", typ)

@@ -109,17 +109,6 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 		}
 	}
 
-	// Strided round trip (the degenerate vector descriptor).
-	cfg := striping.Config{PCount: 2, StripeSize: 4096}
-	sdata := make([]byte, 16*64/2)
-	r.Read(sdata)
-	sw := wire.StridedReq{Start: 128, Stride: 512, BlockLen: 64, Count: 16,
-		Striping: cfg, RelIndex: 0, Data: sdata}
-	both(wire.TWriteStrided, handle, sw.Marshal())
-	sr := wire.StridedReq{Start: 128, Stride: 512, BlockLen: 64, Count: 16,
-		Striping: cfg, RelIndex: 0}
-	both(wire.TReadStrided, handle, sr.Marshal())
-
 	// Datatype round trip: a fragmented vector pattern, windowed.
 	typ := datatype.Vector(300, 24, 96, datatype.Bytes(1))
 	enc, err := datatype.Encode(typ)
@@ -130,6 +119,7 @@ func TestVectoredFallbackWireEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := striping.Config{PCount: 2, StripeSize: 4096}
 	owned, st := ownedBytes(dec, 0, 2, cfg, 0)
 	if st != wire.StatusOK || owned == 0 {
 		t.Fatalf("ownedBytes: %d bytes, status %v", owned, st)

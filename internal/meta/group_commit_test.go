@@ -1,13 +1,12 @@
 package meta
 
-// Group commit (ISSUE 10): concurrent proposals at the leader
-// coalesce into one multi-entry WAL append with a single fsync and
-// one replication wave; the forced-solo fallback (PVFS_NO_META_BATCH)
-// must produce a byte-identical namespace; a WAL sync failure
-// mid-batch wounds the node without acking any batch entry. Plus the
-// GroupProposer failover fixes: fresh leader hints retry without
-// backoff, rotation resumes after the failed replica, and FetchMap
-// honors Close.
+// Group commit: concurrent proposals at the leader coalesce into one
+// multi-entry WAL append with a single fsync and one replication wave;
+// proposals issued one at a time (batches of one) must produce a
+// byte-identical namespace; a WAL sync failure mid-batch wounds the
+// node without acking any batch entry. Plus the GroupProposer failover
+// fixes: fresh leader hints retry without backoff, rotation resumes
+// after the failed replica, and FetchMap honors Close.
 
 import (
 	"bytes"
@@ -23,15 +22,6 @@ import (
 	"pvfs/internal/pvfsnet"
 	"pvfs/internal/wire"
 )
-
-// skipIfEnvNoBatch skips tests that pin batching behavior when the
-// whole run is forced solo (the CI fallback leg).
-func skipIfEnvNoBatch(t *testing.T) {
-	t.Helper()
-	if envNoBatch() {
-		t.Skipf("%s forces solo proposals; batching assertions do not apply", NoBatchEnv)
-	}
-}
 
 // soloDirNode boots a one-replica group over a durable state dir.
 func soloDirNode(t *testing.T, opts NodeOptions) *Node {
@@ -57,7 +47,6 @@ func soloDirNode(t *testing.T, opts NodeOptions) *Node {
 // TestProposeBatchSingleSync pins the group-commit headline: one
 // batch of N records costs exactly one WAL fsync and one flush.
 func TestProposeBatchSingleSync(t *testing.T) {
-	skipIfEnvNoBatch(t)
 	n := soloDirNode(t, NodeOptions{})
 	base := n.Stats()
 	recs := make([]wire.MetaRecord, 16)
@@ -95,7 +84,6 @@ func TestProposeBatchSingleSync(t *testing.T) {
 // a GroupProposer against a replicated group: every create is acked,
 // and the leader coalesced them — fewer flushes than proposals.
 func TestConcurrentProposalsGroupCommit(t *testing.T) {
-	skipIfEnvNoBatch(t)
 	g := startGroup(t, 3, singleShardBoot)
 	lead := g.waitLeader()
 	p := NewGroupProposer(g.addrs, g.timing)
@@ -164,14 +152,13 @@ func canonicalImage(t *testing.T, n *Node) []byte {
 }
 
 // TestBatchedAndSoloNamespacesIdentical applies the same record set
-// to a batching node (concurrently, so records really coalesce) and a
-// forced-solo node (sequentially): the resulting namespaces must be
-// byte-identical — group commit changes durability costs, never
-// state.
+// to one node concurrently (so records really coalesce) and to another
+// serially, waiting for each verdict (so every batch holds one record):
+// the resulting namespaces must be byte-identical — group commit
+// changes durability costs, never state.
 func TestBatchedAndSoloNamespacesIdentical(t *testing.T) {
-	skipIfEnvNoBatch(t)
 	batched := soloDirNode(t, NodeOptions{})
-	solo := soloDirNode(t, NodeOptions{NoBatch: true})
+	solo := soloDirNode(t, NodeOptions{})
 
 	const ranks, files = 4, 8
 	recs := make([]wire.MetaRecord, ranks*files)
@@ -202,12 +189,12 @@ func TestBatchedAndSoloNamespacesIdentical(t *testing.T) {
 	for i := range recs {
 		st, _, _, _, err := solo.Propose(context.Background(), recs[i])
 		if err != nil || st != wire.StatusOK {
-			t.Fatalf("solo propose %d: %v %v", i, st, err)
+			t.Fatalf("serial propose %d: %v %v", i, st, err)
 		}
 	}
 	bi, si := canonicalImage(t, batched), canonicalImage(t, solo)
 	if !bytes.Equal(bi, si) {
-		t.Fatalf("namespaces diverged: batched %d bytes, solo %d bytes", len(bi), len(si))
+		t.Fatalf("namespaces diverged: batched %d bytes, serial %d bytes", len(bi), len(si))
 	}
 	// The batched node must not have paid per-record durability.
 	bst, sst := batched.Stats(), solo.Stats()
@@ -216,7 +203,7 @@ func TestBatchedAndSoloNamespacesIdentical(t *testing.T) {
 			bst.MetaBatches, bst.MetaProposals)
 	}
 	if sst.MetaBatches != sst.MetaProposals {
-		t.Errorf("solo node batched: %d batches / %d proposals",
+		t.Errorf("serial node batched: %d batches / %d proposals",
 			sst.MetaBatches, sst.MetaProposals)
 	}
 }
@@ -291,9 +278,17 @@ func startFakeReplica(t *testing.T, handler func(wire.Message) wire.Message) *fa
 	return f
 }
 
-func okVerdict(wire.Message) wire.Message {
-	pr := wire.MetaProposeResp{Index: 1}
-	return wire.Message{Header: wire.Header{Status: wire.StatusOK}, Body: pr.Marshal()}
+// okVerdict answers a batch propose with one OK verdict per record.
+func okVerdict(req wire.Message) wire.Message {
+	var br wire.MetaProposeBatchReq
+	if req.Type != wire.TMetaProposeBatch || br.Unmarshal(req.Body) != nil {
+		return wire.Message{Header: wire.Header{Status: wire.StatusInvalid}}
+	}
+	resp := wire.MetaProposeBatchResp{Verdicts: make([]wire.MetaProposeVerdict, len(br.Recs))}
+	for i := range resp.Verdicts {
+		resp.Verdicts[i] = wire.MetaProposeVerdict{Status: wire.StatusOK, Index: uint64(i + 1)}
+	}
+	return wire.Message{Body: resp.Marshal()}
 }
 
 // deadAddr returns an address that refuses connections.
@@ -320,7 +315,6 @@ func TestRotationResumesAfterFailedLeader(t *testing.T) {
 	// dead middle replica.
 	g := NewGroupProposer([]string{first.addr, dead, next.addr}, testTiming())
 	defer g.Close()
-	g.DisableBatching()
 	g.storeLeader(dead)
 
 	st, _, _, err := g.Propose(context.Background(), createRec("r", 0, 0, 1, testIODs()))
@@ -335,18 +329,19 @@ func TestRotationResumesAfterFailedLeader(t *testing.T) {
 	}
 }
 
-// TestNoBackoffAfterFreshLeaderHint pins satellite 1: a NotLeader
-// verdict that names another replica is actionable immediately — the
-// proposer must follow the hint without sleeping out a backoff round.
+// TestNoBackoffAfterFreshLeaderHint pins the failover fast path: a
+// NotLeader verdict that names another replica is actionable
+// immediately — the proposer must follow the hint without sleeping out
+// a backoff round. The follower answers with the master's own
+// NotLeader reply, so the proposer's decoder is checked against the
+// encoder every master uses.
 func TestNoBackoffAfterFreshLeaderHint(t *testing.T) {
 	leader := startFakeReplica(t, okVerdict)
 	follower := startFakeReplica(t, func(wire.Message) wire.Message {
-		hint := wire.MetaProposeResp{LeaderAddr: leader.addr}
-		return wire.Message{Header: wire.Header{Status: wire.StatusNotLeader}, Body: hint.Marshal()}
+		return notLeader(leader.addr)
 	})
 	g := NewGroupProposer([]string{follower.addr, leader.addr}, testTiming())
 	defer g.Close()
-	g.DisableBatching()
 
 	st, _, _, err := g.Propose(context.Background(), createRec("h", 0, 0, 1, testIODs()))
 	if err != nil || st != wire.StatusOK {
@@ -360,7 +355,7 @@ func TestNoBackoffAfterFreshLeaderHint(t *testing.T) {
 	}
 }
 
-// TestFetchMapHonorsClose pins satellite 3: a closed proposer's
+// TestFetchMapHonorsClose pins that a closed proposer's
 // FetchMap must fail fast with errProposerClosed instead of scanning
 // replicas against a closed pool.
 func TestFetchMapHonorsClose(t *testing.T) {

@@ -1,10 +1,15 @@
 package mgr_test
 
 import (
+	"encoding/binary"
+	"net"
 	"testing"
 
+	"pvfs/internal/iod"
+	"pvfs/internal/meta"
 	"pvfs/internal/mgr"
 	"pvfs/internal/pvfsnet"
+	"pvfs/internal/store"
 	"pvfs/internal/striping"
 	"pvfs/internal/wire"
 )
@@ -216,5 +221,90 @@ func TestMalformedBodies(t *testing.T) {
 	// I/O request types are invalid at the manager.
 	if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TRead}}); err == nil {
 		t.Error("manager accepted an I/O request")
+	}
+}
+
+// startMaster serves a bare one-replica master (meta.Node) on its own
+// listener, the shape of a standalone pvfs-mgr -replica process.
+func startMaster(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	node, err := meta.NewNode(meta.NodeOptions{
+		ID: 0, Peers: []string{addr},
+		Bootstrap: &wire.ShardMap{Epoch: 1, Masters: []string{addr}, Shards: []string{addr}, IODs: fourIODs()},
+	})
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	srv := pvfsnet.NewServer(ln, node.Handle, nil)
+	t.Cleanup(func() {
+		srv.Close()
+		node.Close()
+	})
+	return addr
+}
+
+// oldStridedBody hand-encodes a well-formed body of the retired
+// strided family (start, stride, blocklen, count, striping base,
+// pcount, stripe size, relative index, then the write payload), so
+// the daemon can only be refusing the opcode, not the body.
+func oldStridedBody(data []byte) []byte {
+	b := make([]byte, 0, 52+len(data))
+	for _, v := range []int64{0, 64, 8, 4} {
+		b = binary.BigEndian.AppendUint64(b, uint64(v))
+	}
+	b = binary.BigEndian.AppendUint32(b, 0)
+	b = binary.BigEndian.AppendUint32(b, 1)
+	b = binary.BigEndian.AppendUint64(b, 4096)
+	b = binary.BigEndian.AppendUint32(b, 0)
+	return append(b, data...)
+}
+
+// TestRetiredOpcodesAnswerInvalid pins the retired opcodes: the
+// strided request family at an I/O daemon, and the single-record
+// propose at a master replica and through the manager's single
+// listener, are each answered StatusInvalid, and the connection keeps
+// serving afterwards.
+func TestRetiredOpcodesAnswerInvalid(t *testing.T) {
+	iodSrv, err := iod.Listen("127.0.0.1:0", store.NewMem(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { iodSrv.Close() })
+	mgrSrv, _ := startMgr(t, fourIODs())
+	masterAddr := startMaster(t)
+	proposeBody := (&wire.MetaRecord{Op: wire.TPing}).Marshal()
+
+	cases := []struct {
+		name string
+		addr string
+		typ  wire.MsgType
+		body []byte
+	}{
+		{"iod/readstrided", iodSrv.Addr(), wire.TRetiredReadStrided, oldStridedBody(nil)},
+		{"iod/writestrided", iodSrv.Addr(), wire.TRetiredWriteStrided, oldStridedBody(make([]byte, 32))},
+		{"master/metapropose", masterAddr, wire.TRetiredMetaPropose, proposeBody},
+		{"mgr/metapropose", mgrSrv.Addr(), wire.TRetiredMetaPropose, proposeBody},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := pvfsnet.Dial(tc.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			resp, err := c.Call(wire.Message{Header: wire.Header{Type: tc.typ, Handle: 1}, Body: tc.body})
+			if err == nil || resp.Status != wire.StatusInvalid {
+				t.Fatalf("%v: status %v (err %v), want %v", tc.typ, resp.Status, err, wire.StatusInvalid)
+			}
+			if _, err := c.Call(wire.Message{Header: wire.Header{Type: wire.TPing}}); err != nil {
+				t.Fatalf("ping after %v: %v", tc.typ, err)
+			}
+		})
 	}
 }

@@ -438,60 +438,31 @@ func (m *MetaAppendResp) Unmarshal(b []byte) error {
 	return d.err
 }
 
-// MetaProposeReq submits one mutation record for replication. The
-// leader appends it, replicates to a majority, applies it, and only
-// then answers with the applied outcome — so an OK (or Exists, or
-// NotFound) propose response is a durable verdict that survives
-// leader failure.
-type MetaProposeReq struct {
-	Rec MetaRecord
+// LeaderHint is the body of every master StatusNotLeader reply
+// (batch propose and fetch): the address of the replica the answering
+// master believes leads, empty when it knows of none. Proposers follow
+// a non-empty hint at once instead of rotating through the group.
+type LeaderHint struct {
+	Addr string
 }
 
-func (m *MetaProposeReq) Marshal() []byte { return m.Rec.Marshal() }
-
-func (m *MetaProposeReq) Unmarshal(b []byte) error { return m.Rec.Unmarshal(b) }
-
-// MetaProposeResp answers a propose. For committed proposals the
-// verdict rides the response header status, Index is the committed
-// entry's log index (shards order snapshot installs against it so a
-// stale snapshot can never overwrite a newer committed write-back),
-// and Info holds the applied FileInfo for creates. A StatusNotLeader
-// response instead carries the leader hint in LeaderAddr.
-type MetaProposeResp struct {
-	LeaderAddr string
-	Index      uint64
-	Info       []byte // marshaled FileInfo; empty when none applies
-}
-
-func (m *MetaProposeResp) Marshal() []byte {
+func (m *LeaderHint) Marshal() []byte {
 	e := encoder{}
-	e.str(m.LeaderAddr)
-	e.u64(m.Index)
-	e.u32(uint32(len(m.Info)))
-	e.bytes(m.Info)
+	e.str(m.Addr)
 	return e.buf
 }
 
-func (m *MetaProposeResp) Unmarshal(b []byte) error {
+func (m *LeaderHint) Unmarshal(b []byte) error {
 	d := decoder{buf: b}
-	m.LeaderAddr = d.str()
-	m.Index = d.u64()
-	n := d.u32()
-	if d.err != nil {
-		return d.err
-	}
-	if uint32(len(d.buf)) < n {
-		return ErrShortBody
-	}
-	m.Info = d.buf[:n] // aliases the frame; decoded before release
-	return nil
+	m.Addr = d.str()
+	return d.err
 }
 
 // MetaProposeBatchReq submits several mutation records in one round
 // trip. The leader appends them as one group-commit batch — a single
 // WAL fsync and one replication wave cover every record — and answers
-// only after all of them resolve, so batching never weakens the
-// durability contract of the solo propose path.
+// only after all of them resolve: an OK verdict is durable and
+// survives leader failure. A lone record is simply a batch of one.
 type MetaProposeBatchReq struct {
 	Recs []MetaRecord
 }
@@ -532,18 +503,16 @@ type MetaProposeVerdict struct {
 
 // MetaProposeBatchResp answers a batch. A StatusOK header carries one
 // verdict per request record, in order. A StatusNotLeader header
-// instead carries the leader hint in LeaderAddr; StatusUnavailable
-// means at least one record's outcome is unknown and the caller must
-// retry the whole batch (records are idempotent, so replaying the
-// committed prefix is safe).
+// instead carries a LeaderHint body; StatusUnavailable means at least
+// one record's outcome is unknown and the caller must retry the whole
+// batch (records are idempotent, so replaying the committed prefix is
+// safe).
 type MetaProposeBatchResp struct {
-	LeaderAddr string
-	Verdicts   []MetaProposeVerdict
+	Verdicts []MetaProposeVerdict
 }
 
 func (m *MetaProposeBatchResp) Marshal() []byte {
 	e := encoder{}
-	e.str(m.LeaderAddr)
 	e.u32(uint32(len(m.Verdicts)))
 	for i := range m.Verdicts {
 		v := &m.Verdicts[i]
@@ -557,7 +526,6 @@ func (m *MetaProposeBatchResp) Marshal() []byte {
 
 func (m *MetaProposeBatchResp) Unmarshal(b []byte) error {
 	d := decoder{buf: b}
-	m.LeaderAddr = d.str()
 	n := d.u32()
 	if d.err != nil {
 		return d.err

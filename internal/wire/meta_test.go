@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -135,17 +136,42 @@ func TestMetaVoteAndProposeRoundTrip(t *testing.T) {
 		t.Fatalf("vote resp: %+v err %v", vrg, err)
 	}
 	cr := MetaCreateRec{Name: "f", Info: FileInfo{Handle: 3, Striping: striping.Config{PCount: 2, StripeSize: 4096}, IODAddrs: []string{"a", "b"}}}
-	p := MetaProposeReq{Rec: MetaRecord{Shard: 1, Seq: 7, Op: TCreate, Body: cr.Marshal()}}
-	var pg MetaProposeReq
-	if err := pg.Unmarshal(p.Marshal()); err != nil {
-		t.Fatalf("propose req: %v", err)
+	p := MetaProposeBatchReq{Recs: []MetaRecord{{Shard: 1, Seq: 7, Op: TCreate, Body: cr.Marshal()}}}
+	var pg MetaProposeBatchReq
+	if err := pg.Unmarshal(p.Marshal()); err != nil || len(pg.Recs) != 1 {
+		t.Fatalf("propose req: %d records, err %v", len(pg.Recs), err)
 	}
 	var crg MetaCreateRec
-	if err := crg.Unmarshal(pg.Rec.Body); err != nil {
+	if err := crg.Unmarshal(pg.Recs[0].Body); err != nil {
 		t.Fatalf("create rec: %v", err)
 	}
 	if !reflect.DeepEqual(cr, crg) {
 		t.Fatalf("create rec round trip: got %+v want %+v", crg, cr)
+	}
+	pr := MetaProposeBatchResp{Verdicts: []MetaProposeVerdict{
+		{Status: StatusOK, Index: 9, Info: cr.Info.Marshal()},
+		{Status: StatusExists, Index: 10},
+	}}
+	var prg MetaProposeBatchResp
+	if err := prg.Unmarshal(pr.Marshal()); err != nil || len(prg.Verdicts) != 2 ||
+		prg.Verdicts[0].Index != 9 || prg.Verdicts[1].Status != StatusExists ||
+		!bytes.Equal(prg.Verdicts[0].Info, pr.Verdicts[0].Info) {
+		t.Fatalf("propose resp: %+v err %v", prg, err)
+	}
+}
+
+// TestLeaderHintRoundTrip pins the one NotLeader body every master
+// reply carries: the hint survives the codec, and a hint-less reply
+// (no body, as a wounded or leaderless master may send) decodes as an
+// error rather than as a bogus address.
+func TestLeaderHintRoundTrip(t *testing.T) {
+	h := LeaderHint{Addr: "127.0.0.1:7200"}
+	var got LeaderHint
+	if err := got.Unmarshal(h.Marshal()); err != nil || got != h {
+		t.Fatalf("leader hint: %+v err %v", got, err)
+	}
+	if err := got.Unmarshal(nil); err == nil {
+		t.Fatal("empty body decoded as a leader hint")
 	}
 }
 

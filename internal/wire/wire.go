@@ -65,8 +65,12 @@ const (
 	TWrite
 	TReadList
 	TWriteList
-	TReadStrided  // datatype extension: strided (vector) descriptor
-	TWriteStrided // datatype extension
+	// Retired: the strided (vector descriptor) request family, which
+	// TReadDatatype/TWriteDatatype subsume. The slots stay reserved so
+	// every later opcode keeps its number; daemons answer
+	// StatusInvalid.
+	TRetiredReadStrided
+	TRetiredWriteStrided
 	TTruncate
 	TServerStats
 	TPing
@@ -83,15 +87,17 @@ const (
 	// body) or installs (ShardMap body) the epoch-stamped shard map.
 	// TMetaForward wraps a manager-grammar request in a MetaEnvelope so a
 	// shard can check the client's epoch and proxy to the owning shard.
-	// The remaining four are master-replica internal: leader election
+	// The rest are master-replica internal: leader election
 	// (TMetaVote), log replication and snapshot install (TMetaAppend),
-	// shard-originated mutation proposals (TMetaPropose), and shard
-	// state/snapshot fetch (TMetaFetch).
+	// shard state/snapshot fetch (TMetaFetch) and shard-originated
+	// mutation proposals (TMetaProposeBatch). TRetiredMetaPropose held
+	// the single-record propose, which a batch of one replaces; its
+	// slot stays reserved and masters answer StatusInvalid.
 	TShardMap
 	TMetaForward
 	TMetaVote
 	TMetaAppend
-	TMetaPropose
+	TRetiredMetaPropose
 	TMetaFetch
 	// TMetaProposeBatch submits several mutation records in one round
 	// trip; the leader coalesces them into one group-commit batch (one
@@ -115,14 +121,14 @@ func (t MsgType) String() string {
 		TInvalid: "invalid", TCreate: "create", TOpen: "open", TStat: "stat",
 		TRemove: "remove", TListDir: "listdir", TSetSize: "setsize",
 		TRead: "read", TWrite: "write", TReadList: "readlist",
-		TWriteList: "writelist", TReadStrided: "readstrided",
-		TWriteStrided: "writestrided", TTruncate: "truncate",
+		TWriteList: "writelist", TRetiredReadStrided: "retired-readstrided",
+		TRetiredWriteStrided: "retired-writestrided", TTruncate: "truncate",
 		TServerStats: "serverstats", TPing: "ping",
 		TListHandles: "listhandles", TReadDatatype: "readdatatype",
 		TWriteDatatype: "writedatatype", TSync: "sync",
 		TShardMap: "shardmap", TMetaForward: "metaforward",
 		TMetaVote: "metavote", TMetaAppend: "metaappend",
-		TMetaPropose: "metapropose", TMetaFetch: "metafetch",
+		TRetiredMetaPropose: "retired-metapropose", TMetaFetch: "metafetch",
 		TMetaProposeBatch: "metaproposebatch",
 	}
 	n, ok := names[t.Base()]

@@ -249,27 +249,20 @@ func TestListReqRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStridedReqRoundTripAndExpand(t *testing.T) {
-	m := StridedReq{Start: 1000, Stride: 64, BlockLen: 8, Count: 5}
-	var got StridedReq
-	if err := got.Unmarshal(m.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	l := got.ExpandRegions()
-	if len(l) != 5 || l[0] != (ioseg.Segment{Offset: 1000, Length: 8}) ||
-		l[4] != (ioseg.Segment{Offset: 1256, Length: 8}) {
-		t.Fatalf("expand = %v", l)
-	}
-	if got.TotalLength() != 40 {
-		t.Fatalf("TotalLength = %d", got.TotalLength())
-	}
-}
-
-func TestStridedReqRejectsNegative(t *testing.T) {
-	m := StridedReq{Start: 0, Stride: 8, BlockLen: -1, Count: 4}
-	var got StridedReq
-	if err := got.Unmarshal(m.Marshal()); err == nil {
-		t.Fatal("negative blocklen accepted")
+// TestOpcodeNumbersStable pins opcode numbering across retirements:
+// retired opcodes keep their slots, so the opcodes after them keep
+// the numbers deployed peers already speak.
+func TestOpcodeNumbersStable(t *testing.T) {
+	for _, c := range []struct {
+		typ  MsgType
+		want uint16
+	}{
+		{TRetiredReadStrided, 11}, {TRetiredWriteStrided, 12}, {TTruncate, 13},
+		{TRetiredMetaPropose, 24}, {TMetaFetch, 25}, {TMetaProposeBatch, 26},
+	} {
+		if uint16(c.typ) != c.want {
+			t.Errorf("%v = %d, want %d", c.typ, uint16(c.typ), c.want)
+		}
 	}
 }
 
@@ -328,7 +321,7 @@ func TestUnmarshalShortBodies(t *testing.T) {
 	var (
 		cr CreateReq
 		fi FileInfo
-		sr StridedReq
+		lh LeaderHint
 		st ServerStats
 	)
 	bodies := [][]byte{nil, {1}, {0, 0, 0}, bytes.Repeat([]byte{0xFF}, 7)}
@@ -337,7 +330,9 @@ func TestUnmarshalShortBodies(t *testing.T) {
 			t.Errorf("CreateReq accepted %d bytes", len(b))
 		}
 		_ = fi.Unmarshal(b)
-		_ = sr.Unmarshal(b)
+		if err := lh.Unmarshal(b); err == nil && len(b) < 4 {
+			t.Errorf("LeaderHint accepted %d bytes", len(b))
+		}
 		_ = st.Unmarshal(b)
 	}
 }
@@ -378,8 +373,8 @@ func TestDecodeRandomBytesNoPanic(t *testing.T) {
 		_ = fi.Unmarshal(b)
 		var lr ListReq
 		_ = lr.Unmarshal(b)
-		var sr StridedReq
-		_ = sr.Unmarshal(b)
+		var dr ReadDatatypeReq
+		_ = dr.Unmarshal(b)
 	}
 }
 
