@@ -5,11 +5,11 @@ package client
 // share. The client's job shrinks to windowing and memory movement:
 // cut each server's share of the pattern-data stream into
 // response-size windows, pipeline one request per window, and
-// scatter/gather between the user arena and pooled message bodies via
-// memio.StreamMap. Wire requests per server are O(transfer size /
-// window) — independent of how many contiguous fragments the pattern
-// flattens to, the paper's §5 fix for list I/O's linear request
-// growth.
+// scatter/gather between the user arena and pooled message bodies
+// through one forward memio.Cursor per server. Wire requests per
+// server are O(transfer size / window) — independent of how many
+// contiguous fragments the pattern flattens to, the paper's §5 fix for
+// list I/O's linear request growth.
 
 import (
 	"context"
@@ -59,11 +59,11 @@ func (o DatatypeOptions) window() int {
 }
 
 // dtPiece is one run of a server's bytes in the pattern-data stream:
-// the window planner emits these and the scatter/gather loops resolve
-// them to arena extents through the StreamMap.
+// the window planner emits these with the memory cursor at the run's
+// first byte, and the scatter/gather loops resume from that cursor.
 type dtPiece struct {
-	stream int64 // position in the pattern's data stream
-	n      int64
+	mem memio.Cursor
+	n   int64
 }
 
 // dtPlan is the validated, encoded form of one datatype operation.
@@ -83,16 +83,15 @@ func (f *File) planDatatype(arena []byte, mem ioseg.List, t datatype.Type, base,
 	if err != nil {
 		return nil, fmt.Errorf("pvfs: %w", err)
 	}
-	if err := mem.Validate(); err != nil {
-		return nil, fmt.Errorf("pvfs: memory list: %w", err)
+	memTotal, outside, err := checkMem(arena, mem)
+	if err != nil {
+		return nil, err
 	}
-	if mem.TotalLength() != dataLen {
-		return nil, fmt.Errorf("pvfs: memory list covers %d bytes, pattern %d", mem.TotalLength(), dataLen)
+	if memTotal != dataLen {
+		return nil, fmt.Errorf("pvfs: memory list covers %d bytes, pattern %d", memTotal, dataLen)
 	}
-	for i, s := range mem {
-		if s.End() > int64(len(arena)) {
-			return nil, fmt.Errorf("pvfs: memory region %d (%v) outside buffer of %d bytes", i, s, len(arena))
-		}
+	if outside >= 0 {
+		return nil, outsideErr(arena, mem, outside)
 	}
 	enc, err := datatype.Encode(t)
 	if err != nil {
@@ -117,22 +116,26 @@ func (f *File) planDatatype(arena []byte, mem ioseg.List, t datatype.Type, base,
 // position where the previous window's last owned byte ended (an
 // O(tree depth) seek), so the full iteration visits each pattern
 // fragment once; live state is one window's piece list, never the
-// flattened pattern.
+// flattened pattern. The server's runs come out in stream order, so
+// one memory cursor follows them forward through mem.
 type dtWindows struct {
 	t           datatype.Type
 	base, count int64
 	cfg         striping.Config
 	rel         int
 	winBytes    int64
+	mem         ioseg.List
 
-	nextPos   int64 // data-stream position to resume scanning at
-	remaining int64 // owned bytes not yet windowed
+	nextPos   int64        // data-stream position to resume scanning at
+	remaining int64        // owned bytes not yet windowed
+	cur       memio.Cursor // memory position of stream byte curPos
+	curPos    int64
 }
 
 // next cuts the next window: the data position the server's evaluation
 // should seek to, the owned bytes it should transfer, and the stream
-// pieces those bytes occupy (for arena scatter/gather). It must not be
-// called once remaining is zero.
+// pieces those bytes occupy, each with its memory cursor (for arena
+// scatter/gather). It must not be called once remaining is zero.
 func (w *dtWindows) next() (dataPos, want int64, pieces []dtPiece) {
 	want = w.winBytes
 	if want > w.remaining {
@@ -151,7 +154,10 @@ func (w *dtWindows) next() (dataPos, want int64, pieces []dtPiece) {
 				take = rem
 				w.nextPos = pos + take
 			}
-			pieces = append(pieces, dtPiece{stream: pos, n: take})
+			w.cur.Skip(w.mem, pos-w.curPos)
+			pieces = append(pieces, dtPiece{mem: w.cur, n: take})
+			w.cur.Skip(w.mem, take)
+			w.curPos = pos + take
 			got += take
 			return got < want
 		})
@@ -162,7 +168,7 @@ func (w *dtWindows) next() (dataPos, want int64, pieces []dtPiece) {
 
 // datatypeServers builds the per-server window iterators (servers with
 // no share are skipped entirely).
-func (f *File) datatypeServers(p *dtPlan, t datatype.Type, base, count, winBytes int64) []*dtWindows {
+func (f *File) datatypeServers(p *dtPlan, mem ioseg.List, t datatype.Type, base, count, winBytes int64) []*dtWindows {
 	var jobs []*dtWindows
 	for rel, owned := range p.owned {
 		if owned == 0 {
@@ -171,7 +177,7 @@ func (f *File) datatypeServers(p *dtPlan, t datatype.Type, base, count, winBytes
 		jobs = append(jobs, &dtWindows{
 			t: t, base: base, count: count,
 			cfg: f.info.Striping, rel: rel,
-			winBytes: winBytes, remaining: owned,
+			winBytes: winBytes, mem: mem, remaining: owned,
 		})
 	}
 	return jobs
@@ -199,9 +205,8 @@ func (f *File) readDatatype(ctx context.Context, arena []byte, mem ioseg.List, t
 	if err != nil {
 		return err
 	}
-	smap := memio.NewStreamMap(mem)
 	winBytes := opts.windowBytes()
-	jobs := f.datatypeServers(plan, t, base, count, winBytes)
+	jobs := f.datatypeServers(plan, mem, t, base, count, winBytes)
 	return parallel(jobs, func(w *dtWindows) error {
 		n := int((w.remaining + winBytes - 1) / winBytes)
 		wins := make([][]dtPiece, n)
@@ -229,12 +234,10 @@ func (f *File) readDatatype(ctx context.Context, arena []byte, mem ioseg.List, t
 				}
 				f.fs.stats.BytesIn.Add(wants[i])
 				path.Bytes.Add(wants[i])
-				var rpos int64
+				body := resp.Body
 				for _, p := range wins[i] {
-					if err := smap.CopyIn(arena, p.stream, resp.Body[rpos:rpos+p.n]); err != nil {
-						return err
-					}
-					rpos += p.n
+					p.mem.Scatter(arena, mem, body[:p.n])
+					body = body[p.n:]
 				}
 				wins[i] = nil
 				return nil
@@ -261,9 +264,8 @@ func (f *File) writeDatatype(ctx context.Context, arena []byte, mem ioseg.List, 
 	if err != nil {
 		return err
 	}
-	smap := memio.NewStreamMap(mem)
 	winBytes := opts.windowBytes()
-	jobs := f.datatypeServers(plan, t, base, count, winBytes)
+	jobs := f.datatypeServers(plan, mem, t, base, count, winBytes)
 	err = parallel(jobs, func(w *dtWindows) error {
 		n := int((w.remaining + winBytes - 1) / winBytes)
 		return f.fs.pipelineCalls(ctx, f.info.IODAddrs[w.rel], n, opts.window(),
@@ -273,14 +275,16 @@ func (f *File) writeDatatype(ctx context.Context, arena []byte, mem ioseg.List, 
 					Base: base, Count: count, DataPos: dataPos, Want: want,
 					Striping: f.info.Striping, RelIndex: w.rel, TypeEnc: plan.enc,
 				}
-				body := req.AppendTo(wire.GetBuf(wire.DatatypeReqSize(len(plan.enc)) + int(want))[:0])
+				size := wire.DatatypeReqSize(len(plan.enc)) + int(want)
+				body := req.AppendTo(wire.GetBuf(size)[:0])
+				// The payload follows the fixed fields; each piece is
+				// gathered in place into the pre-sized body.
+				pos := len(body)
+				body = body[:size]
 				for _, p := range pieces {
-					var gerr error
-					body, gerr = smap.AppendOut(body, arena, p.stream, p.n)
-					if gerr != nil {
-						wire.PutBuf(body)
-						return wire.Message{}, gerr
-					}
+					n := int(p.n)
+					p.mem.Gather(body[pos:pos+n], arena, mem)
+					pos += n
 				}
 				f.fs.stats.Requests.Add(1)
 				f.fs.stats.BytesOut.Add(want)

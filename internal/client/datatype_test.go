@@ -22,7 +22,7 @@ import (
 // WriteList of the flattened pattern.
 
 // fragmentedMem splits [0, total) into memory regions of the given
-// size with gaps, exercising the StreamMap scatter/gather (the arena
+// size with gaps, exercising the memory cursor's scatter/gather (the arena
 // is sized to hold the gaps).
 func fragmentedMem(total, piece, gap int64) (ioseg.List, int64) {
 	var mem ioseg.List
@@ -78,72 +78,83 @@ func datatypeCases(t *testing.T) map[string]struct {
 func TestDatatypeEquivalenceWithList(t *testing.T) {
 	_, fs := startCluster(t, 4)
 	cfg := striping.Config{PCount: 4, StripeSize: 256}
+	// Memory layouts: 47 B pieces with 9 B gaps, and 1-16 B pieces with
+	// zero-length ones among them.
+	layouts := map[string]func(total int64) (ioseg.List, int64){
+		"": func(total int64) (ioseg.List, int64) { return fragmentedMem(total, 47, 9) },
+		"-tiny": func(total int64) (ioseg.List, int64) {
+			return tinyPieceMem(rand.New(rand.NewSource(total)), total)
+		},
+	}
 	for name, tc := range datatypeCases(t) {
-		t.Run(name, func(t *testing.T) {
-			dataLen, _, err := datatype.CheckPattern(tc.typ, tc.base, tc.count)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Flatten the repeated pattern for the list-I/O reference.
-			var file ioseg.List
-			ext := tc.typ.Extent()
-			for i := int64(0); i < tc.count; i++ {
-				file = tc.typ.AppendRegions(file, tc.base+i*ext)
-			}
-			file = file.Normalize()
-
-			mem, arenaLen := fragmentedMem(dataLen, 47, 9)
-			arena := make([]byte, arenaLen)
-			rand.New(rand.NewSource(11)).Read(arena)
-
-			// Small windows + pipelining so one transfer exercises many
-			// concurrent in-flight requests (meaningful under -race).
-			opts := client.DatatypeOptions{WindowBytes: 96, Window: 4}
-
-			fDT, err := fs.Create("dt-"+name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fDT.WriteDatatype(arena, mem, tc.typ, tc.base, tc.count, opts); err != nil {
-				t.Fatal(err)
-			}
-			fDT.Close()
-			fList, err := fs.Create("list-"+name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := fList.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			fList.Close()
-
-			if a, b := fullImage(t, fs, "dt-"+name), fullImage(t, fs, "list-"+name); !bytes.Equal(a, b) {
-				t.Fatal("datatype and list writes left different images")
-			}
-
-			// Read back through both paths from the list-written file.
-			fr, err := fs.Open("list-" + name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fr.Close()
-			gotDT := make([]byte, arenaLen)
-			if err := fr.ReadDatatype(gotDT, mem, tc.typ, tc.base, tc.count, opts); err != nil {
-				t.Fatal(err)
-			}
-			gotList := make([]byte, arenaLen)
-			if err := fr.ReadList(gotList, mem, file, client.ListOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotDT, gotList) {
-				t.Fatal("datatype and list reads differ")
-			}
-			for _, s := range mem {
-				if !bytes.Equal(gotDT[s.Offset:s.End()], arena[s.Offset:s.End()]) {
-					t.Fatalf("read-back differs from source in region %v", s)
+		for suffix, layout := range layouts {
+			name := name + suffix
+			t.Run(name, func(t *testing.T) {
+				dataLen, _, err := datatype.CheckPattern(tc.typ, tc.base, tc.count)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				// Flatten the repeated pattern for the list-I/O reference.
+				var file ioseg.List
+				ext := tc.typ.Extent()
+				for i := int64(0); i < tc.count; i++ {
+					file = tc.typ.AppendRegions(file, tc.base+i*ext)
+				}
+				file = file.Normalize()
+
+				mem, arenaLen := layout(dataLen)
+				arena := make([]byte, arenaLen)
+				rand.New(rand.NewSource(11)).Read(arena)
+
+				// Small windows + pipelining so one transfer exercises many
+				// concurrent in-flight requests (meaningful under -race).
+				opts := client.DatatypeOptions{WindowBytes: 96, Window: 4}
+
+				fDT, err := fs.Create("dt-"+name, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fDT.WriteDatatype(arena, mem, tc.typ, tc.base, tc.count, opts); err != nil {
+					t.Fatal(err)
+				}
+				fDT.Close()
+				fList, err := fs.Create("list-"+name, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := fList.WriteList(arena, mem, file, client.ListOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				fList.Close()
+
+				if a, b := fullImage(t, fs, "dt-"+name), fullImage(t, fs, "list-"+name); !bytes.Equal(a, b) {
+					t.Fatal("datatype and list writes left different images")
+				}
+
+				// Read back through both paths from the list-written file.
+				fr, err := fs.Open("list-" + name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fr.Close()
+				gotDT := make([]byte, arenaLen)
+				if err := fr.ReadDatatype(gotDT, mem, tc.typ, tc.base, tc.count, opts); err != nil {
+					t.Fatal(err)
+				}
+				gotList := make([]byte, arenaLen)
+				if err := fr.ReadList(gotList, mem, file, client.ListOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotDT, gotList) {
+					t.Fatal("datatype and list reads differ")
+				}
+				for _, s := range mem {
+					if !bytes.Equal(gotDT[s.Offset:s.End()], arena[s.Offset:s.End()]) {
+						t.Fatalf("read-back differs from source in region %v", s)
+					}
+				}
+			})
+		}
 	}
 }
 

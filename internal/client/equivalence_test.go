@@ -3,6 +3,7 @@ package client_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"pvfs/internal/client"
@@ -199,10 +200,30 @@ func TestStridedEquivalenceOnVector(t *testing.T) {
 	}
 }
 
+// tinyPieceMem cuts total bytes of memory into pieces of 1-16 B with
+// gaps of 0-3 B, with a zero-length piece in about one slot in eight:
+// the fragmented layout where the memory cursor does the most work per
+// byte. It returns the list and the arena size it spans.
+func tinyPieceMem(r *rand.Rand, total int64) (ioseg.List, int64) {
+	var mem ioseg.List
+	var off int64
+	for left := total; left > 0; {
+		if r.Intn(8) == 0 {
+			mem = append(mem, ioseg.Segment{Offset: off, Length: 0})
+		}
+		n := min(int64(1+r.Intn(16)), left)
+		mem = append(mem, ioseg.Segment{Offset: off, Length: n})
+		off += n + int64(r.Intn(4))
+		left -= n
+	}
+	return mem, off
+}
+
 // TestListWindowEquivalence pins the pipelining contract: ReadList and
 // WriteList must produce byte-identical results whether requests are
 // serialized (Window=1, the original PVFS discipline) or pipelined
-// (Window=8), across granularities and an unstructured random pattern.
+// (Window=8), across granularities, an unstructured random pattern and
+// the same file layout fed from memory fragmented into 1-16 B pieces.
 func TestListWindowEquivalence(t *testing.T) {
 	c, err := cluster.Start(cluster.Options{NumIOD: 4})
 	if err != nil {
@@ -223,17 +244,37 @@ func TestListWindowEquivalence(t *testing.T) {
 	}
 	cfg := striping.Config{PCount: 4, StripeSize: 512}
 
+	// One input per rank, plus rank 0's file layout from tiny pieces.
+	type input struct {
+		name      string
+		mem, file ioseg.List
+		arenaLen  int64
+	}
+	var inputs []input
+	for r := 0; r < pat.Ranks(); r++ {
+		inputs = append(inputs, input{fmt.Sprintf("r%d", r), patterns.MemList(pat, r), patterns.FileList(pat, r), pat.TotalBytes(r)})
+	}
+	tiny, tinyLen := tinyPieceMem(rand.New(rand.NewSource(3)), pat.TotalBytes(0))
+	inputs = append(inputs, input{"tiny", tiny, patterns.FileList(pat, 0), tinyLen})
+
 	for _, g := range []client.Granularity{client.GranularityFileRegions, client.GranularityIntersect} {
-		for r := 0; r < pat.Ranks(); r++ {
-			mem := patterns.MemList(pat, r)
-			file := patterns.FileList(pat, r)
-			arena := make([]byte, pat.TotalBytes(r))
-			for i := range arena {
-				arena[i] = byte(r*89 + i*13)
+		for _, in := range inputs {
+			mem, file := in.mem, in.file
+			// Data is a function of stream position, so inputs sharing a
+			// file layout write the same image. Bytes outside the memory
+			// regions stay zero: a read-back into a zeroed arena must
+			// reproduce the arena exactly.
+			arena := make([]byte, in.arenaLen)
+			var pos int
+			for _, s := range mem {
+				for i := s.Offset; i < s.End(); i++ {
+					arena[i] = byte(pos*13 + pos>>8)
+					pos++
+				}
 			}
 			names := [2]string{}
 			for wi, window := range []int{1, 8} {
-				name := fmt.Sprintf("win-%v-r%d-w%d", g, r, window)
+				name := fmt.Sprintf("win-%v-%s-w%d", g, in.name, window)
 				names[wi] = name
 				f, err := fs.Create(name, cfg)
 				if err != nil {
@@ -250,7 +291,10 @@ func TestListWindowEquivalence(t *testing.T) {
 			a := fullImage(t, fs, names[0])
 			b := fullImage(t, fs, names[1])
 			if !bytes.Equal(a, b) {
-				t.Fatalf("granularity %v rank %d: window=1 and window=8 images differ", g, r)
+				t.Fatalf("granularity %v input %s: window=1 and window=8 images differ", g, in.name)
+			}
+			if in.name == "tiny" && !bytes.Equal(a, fullImage(t, fs, fmt.Sprintf("win-%v-r0-w1", g))) {
+				t.Fatalf("granularity %v: tiny-piece memory wrote a different image than rank 0's", g)
 			}
 
 			// Read the serialized-written file back under both windows.
@@ -259,13 +303,13 @@ func TestListWindowEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, window := range []int{1, 8} {
-				got := make([]byte, pat.TotalBytes(r))
+				got := make([]byte, in.arenaLen)
 				opts := client.ListOptions{Granularity: g, Window: window}
 				if err := f.ReadList(got, mem, file, opts); err != nil {
 					t.Fatalf("read window=%d: %v", window, err)
 				}
 				if !bytes.Equal(got, arena) {
-					t.Fatalf("granularity %v rank %d window=%d: read-back differs", g, r, window)
+					t.Fatalf("granularity %v input %s window=%d: read-back differs", g, in.name, window)
 				}
 			}
 			f.Close()

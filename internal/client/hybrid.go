@@ -44,7 +44,7 @@ func (f *File) WriteHybrid(arena []byte, mem, file ioseg.List, gap int64, opts L
 // wrappers.
 func (f *File) readHybrid(ctx context.Context, arena []byte, mem, file ioseg.List, gap int64, opts ListOptions) (SieveStats, error) {
 	var st SieveStats
-	if err := checkLists(arena, mem, file); err != nil {
+	if _, err := checkLists(arena, mem, file); err != nil {
 		return st, err
 	}
 	coalesced := file.Normalize().Coalesce(gap)
@@ -75,7 +75,7 @@ func (f *File) readHybrid(ctx context.Context, arena []byte, mem, file ioseg.Lis
 
 func (f *File) writeHybrid(ctx context.Context, arena []byte, mem, file ioseg.List, gap int64, opts ListOptions) (SieveStats, error) {
 	var st SieveStats
-	if err := checkLists(arena, mem, file); err != nil {
+	if _, err := checkLists(arena, mem, file); err != nil {
 		return st, err
 	}
 	stream, err := memio.Gather(arena, mem)

@@ -75,28 +75,63 @@ func (o ListOptions) window() int {
 	return o.Window
 }
 
-// checkLists validates a mem/file pair. Cross-segment overlap is not
-// checked (it would cost a sort of the 983k-entry FLASH lists per
-// call): as with MPI receive buffers, memory regions that overlap one
-// another make read results undefined — responses scatter into the
-// arena concurrently, from one goroutine per server.
-func checkLists(arena []byte, mem, file ioseg.List) error {
-	if err := mem.Validate(); err != nil {
-		return fmt.Errorf("pvfs: memory list: %w", err)
+// checkLists validates a mem/file pair and returns the byte total the
+// lists share. Cross-segment overlap is not checked (it would cost a
+// sort of the 983k-entry FLASH lists per call): as with MPI receive
+// buffers, memory regions that overlap one another make read results
+// undefined — responses scatter into the arena concurrently, from one
+// goroutine per server. Errors are reported in a fixed precedence: an
+// invalid memory segment, an invalid file segment, a total mismatch,
+// then the first memory segment outside the arena.
+func checkLists(arena []byte, mem, file ioseg.List) (int64, error) {
+	memTotal, outside, err := checkMem(arena, mem)
+	if err != nil {
+		return 0, err
 	}
-	if err := file.Validate(); err != nil {
-		return fmt.Errorf("pvfs: file list: %w", err)
-	}
-	if mem.TotalLength() != file.TotalLength() {
-		return fmt.Errorf("pvfs: memory list covers %d bytes, file list %d",
-			mem.TotalLength(), file.TotalLength())
-	}
-	for i, s := range mem {
-		if s.End() > int64(len(arena)) {
-			return fmt.Errorf("pvfs: memory region %d (%v) outside buffer of %d bytes", i, s, len(arena))
+	var fileTotal int64
+	for i, s := range file {
+		if s.Offset < 0 || s.Length < 0 || s.Offset+s.Length < s.Offset {
+			return 0, fmt.Errorf("pvfs: file list: segment %d: %w", i, s.Validate())
 		}
+		fileTotal += s.Length
 	}
-	return nil
+	if memTotal != fileTotal {
+		return 0, fmt.Errorf("pvfs: memory list covers %d bytes, file list %d", memTotal, fileTotal)
+	}
+	if outside >= 0 {
+		return 0, outsideErr(arena, mem, outside)
+	}
+	return memTotal, nil
+}
+
+// checkMem validates a memory list in the one pass that also totals it,
+// with one inline comparison per segment: the checks run serially
+// before any request goes out. It returns the first invalid segment's
+// error (its text built by Segment.Validate only once a segment has
+// failed), else the total and the index of the first segment outside
+// the arena, or -1. Callers report that index after their own checks.
+func checkMem(arena []byte, mem ioseg.List) (total int64, outside int, err error) {
+	arenaLen := uint64(len(arena))
+	outside = -1
+	for i, s := range mem {
+		// One unsigned comparison pair admits exactly the valid
+		// segments inside the arena.
+		if uint64(s.Offset) > arenaLen || uint64(s.Length) > arenaLen-uint64(s.Offset) {
+			if err := s.Validate(); err != nil {
+				return 0, -1, fmt.Errorf("pvfs: memory list: segment %d: %w", i, err)
+			}
+			if outside < 0 {
+				outside = i
+			}
+		}
+		total += s.Length
+	}
+	return total, outside, nil
+}
+
+// outsideErr reports memory segment i as lying outside the arena.
+func outsideErr(arena []byte, mem ioseg.List, i int) error {
+	return fmt.Errorf("pvfs: memory region %d (%v) outside buffer of %d bytes", i, mem[i], len(arena))
 }
 
 // listEntries builds the file-space entry list in stream order for the
@@ -143,7 +178,7 @@ func (f *File) WriteMultiple(arena []byte, mem, file ioseg.List) error {
 // readMultiple is the multiple-I/O datapath shared by Start and the
 // legacy wrappers.
 func (f *File) readMultiple(ctx context.Context, arena []byte, mem, file ioseg.List) error {
-	if err := checkLists(arena, mem, file); err != nil {
+	if _, err := checkLists(arena, mem, file); err != nil {
 		return err
 	}
 	pairs, err := memio.Match(mem, file)
@@ -159,7 +194,7 @@ func (f *File) readMultiple(ctx context.Context, arena []byte, mem, file ioseg.L
 }
 
 func (f *File) writeMultiple(ctx context.Context, arena []byte, mem, file ioseg.List) error {
-	if err := checkLists(arena, mem, file); err != nil {
+	if _, err := checkLists(arena, mem, file); err != nil {
 		return err
 	}
 	pairs, err := memio.Match(mem, file)
@@ -183,17 +218,22 @@ type subReq struct {
 	bytes  int64
 }
 
+// maxListPayload is the most payload one list request carries: a full
+// region table plus this payload fits wire.MaxBodyLen, so neither the
+// write request nor the read response can outgrow a frame.
+var maxListPayload = int64(wire.MaxBodyLen - wire.TrailingDataSize(wire.MaxRegionsPerRequest))
+
 // planServer is the ordered request schedule for one I/O server: the
-// server's physical regions in logical order, the absolute stream
-// position of each region's first byte, and the request boundaries.
-// Pieces accumulate into two flat arrays rather than per-request
-// slices, so planning allocates O(log n) times per server instead of
+// server's physical regions in logical order, the memory cursor at each
+// region's first stream byte, and the request boundaries. Pieces
+// accumulate into flat arrays rather than per-request slices, so
+// planning allocates O(log n) times per server instead of
 // O(requests).
 type planServer struct {
-	rel       int
-	phys      ioseg.List
-	streamPos []int64
-	reqs      []subReq
+	rel  int
+	phys ioseg.List
+	mem  []memio.Cursor
+	reqs []subReq
 
 	openLo    int   // first piece of the not-yet-cut request
 	openBytes int64 // payload bytes accumulated since the last cut
@@ -214,12 +254,18 @@ func (ps *planServer) cut() {
 // each batch splits across servers by striping, and a server's share of
 // one batch is sub-batched defensively at the wire limit — so request
 // counts are identical to the serialized implementation; only the issue
-// discipline (pipelined vs barriered) differs.
-func (f *File) planList(entries ioseg.List, maxRegions int) []*planServer {
+// discipline (pipelined vs barriered) differs. A server's request is
+// also cut before its payload would pass maxListPayload, and a piece
+// larger than that is split, which only a stripe unit of that size
+// allows; transfers under the limit never meet either rule.
+//
+// Pieces arrive in stream order, so one memory cursor walks mem
+// alongside them and each piece records where its bytes start.
+func (f *File) planList(entries, mem ioseg.List, maxRegions int) []*planServer {
 	cfg := f.info.Striping
 	byRel := make(map[int]*planServer)
 	var plans []*planServer
-	var stream int64
+	var cur memio.Cursor
 	batchLeft := maxRegions
 	for _, s := range entries {
 		if batchLeft == 0 { // batch boundary: no request spans it
@@ -229,22 +275,26 @@ func (f *File) planList(entries ioseg.List, maxRegions int) []*planServer {
 			batchLeft = maxRegions
 		}
 		batchLeft--
-		entry := s
-		cfg.SplitFunc(entry, func(p striping.Piece) {
+		cfg.SplitFunc(s, func(p striping.Piece) {
 			ps := byRel[p.Server]
 			if ps == nil {
 				ps = &planServer{rel: p.Server}
 				byRel[p.Server] = ps
 				plans = append(plans, ps)
 			}
-			if len(ps.phys)-ps.openLo == wire.MaxRegionsPerRequest {
-				ps.cut()
+			for phys := p.Phys; phys.Length > 0; {
+				n := min(phys.Length, maxListPayload)
+				if len(ps.phys)-ps.openLo == wire.MaxRegionsPerRequest || ps.openBytes+n > maxListPayload {
+					ps.cut()
+				}
+				ps.phys = append(ps.phys, ioseg.Segment{Offset: phys.Offset, Length: n})
+				ps.mem = append(ps.mem, cur)
+				ps.openBytes += n
+				cur.Skip(mem, n)
+				phys.Offset += n
+				phys.Length -= n
 			}
-			ps.phys = append(ps.phys, p.Phys)
-			ps.streamPos = append(ps.streamPos, stream+(p.Logical.Offset-entry.Offset))
-			ps.openBytes += p.Phys.Length
 		})
-		stream += s.Length
 	}
 	for _, ps := range plans {
 		ps.cut()
@@ -274,17 +324,14 @@ func (f *File) ReadList(arena []byte, mem, file ioseg.List, opts ListOptions) er
 }
 
 // readList is the list-I/O datapath shared by Start and the legacy
-// wrappers (see ReadList for semantics).
+// wrappers (see ReadList for semantics). The lists must have passed
+// checkLists.
 func (f *File) readList(ctx context.Context, arena []byte, mem, file ioseg.List, opts ListOptions) error {
-	if err := checkLists(arena, mem, file); err != nil {
-		return err
-	}
 	entries, err := listEntries(mem, file, opts.Granularity)
 	if err != nil {
 		return err
 	}
-	smap := memio.NewStreamMap(mem)
-	plans := f.planList(entries, opts.maxRegions())
+	plans := f.planList(entries, mem, opts.maxRegions())
 	return parallel(plans, func(p *planServer) error {
 		addr := f.info.IODAddrs[p.rel]
 		return f.fs.pipelineCalls(ctx, addr, len(p.reqs), opts.window(),
@@ -312,13 +359,12 @@ func (f *File) readList(ctx context.Context, arena []byte, mem, file ioseg.List,
 				}
 				f.fs.stats.BytesIn.Add(r.bytes)
 				f.fs.stats.List.Bytes.Add(r.bytes)
-				var rpos int64
+				body := resp.Body
 				for k := r.lo; k < r.hi; k++ {
 					n := p.phys[k].Length
-					if err := smap.CopyIn(arena, p.streamPos[k], resp.Body[rpos:rpos+n]); err != nil {
-						return err
-					}
-					rpos += n
+					cur := p.mem[k]
+					cur.Scatter(arena, mem, body[:n])
+					body = body[n:]
 				}
 				return nil
 			})
@@ -340,17 +386,14 @@ func (f *File) WriteList(arena []byte, mem, file ioseg.List, opts ListOptions) e
 }
 
 // writeList is the list-I/O write datapath shared by Start and the
-// legacy wrappers (see WriteList for semantics).
+// legacy wrappers (see WriteList for semantics). The lists must have
+// passed checkLists.
 func (f *File) writeList(ctx context.Context, arena []byte, mem, file ioseg.List, opts ListOptions) error {
-	if err := checkLists(arena, mem, file); err != nil {
-		return err
-	}
 	entries, err := listEntries(mem, file, opts.Granularity)
 	if err != nil {
 		return err
 	}
-	smap := memio.NewStreamMap(mem)
-	plans := f.planList(entries, opts.maxRegions())
+	plans := f.planList(entries, mem, opts.maxRegions())
 	err = parallel(plans, func(p *planServer) error {
 		addr := f.info.IODAddrs[p.rel]
 		return f.fs.pipelineCalls(ctx, addr, len(p.reqs), opts.window(),
@@ -363,12 +406,15 @@ func (f *File) writeList(ctx context.Context, arena []byte, mem, file ioseg.List
 					wire.PutBuf(body)
 					return wire.Message{}, err
 				}
+				// The payload follows the region table; each piece is
+				// gathered in place into the pre-sized body.
+				pos := len(body)
+				body = body[:size]
 				for k := r.lo; k < r.hi; k++ {
-					body, err = smap.AppendOut(body, arena, p.streamPos[k], p.phys[k].Length)
-					if err != nil {
-						wire.PutBuf(body)
-						return wire.Message{}, err
-					}
+					n := int(p.phys[k].Length)
+					cur := p.mem[k]
+					cur.Gather(body[pos:pos+n], arena, mem)
+					pos += n
 				}
 				f.fs.stats.Requests.Add(1)
 				f.fs.stats.ListRequests.Add(1)

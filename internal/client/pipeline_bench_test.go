@@ -104,31 +104,40 @@ func BenchmarkListLatencyWindow(b *testing.B) {
 // BenchmarkListAllocs measures steady-state allocation on the list
 // datapath with no injected delay (loopback round trips only): the
 // buffer pool and direct arena scatter/gather keep allocs/op flat in
-// transfer size.
+// transfer size. The mem8 runs move the same bytes from 8 B memory
+// pieces with 8 B gaps — the FLASH shape — so their B/op must match the
+// plain runs': nothing is allocated per memory piece.
 func BenchmarkListAllocs(b *testing.B) {
-	for _, dir := range []string{"read", "write"} {
-		b.Run(dir, func(b *testing.B) {
-			f, mem, file, cleanup := startListBench(b, 0)
-			defer cleanup()
-			arena := make([]byte, mem.TotalLength())
-			opts := client.ListOptions{}
-			if err := f.WriteList(arena, mem, file, opts); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(mem.TotalLength())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if dir == "write" {
-					err = f.WriteList(arena, mem, file, opts)
-				} else {
-					err = f.ReadList(arena, mem, file, opts)
+	for _, shape := range []string{"", "mem8/"} {
+		for _, dir := range []string{"read", "write"} {
+			b.Run(shape+dir, func(b *testing.B) {
+				f, mem, file, cleanup := startListBench(b, 0)
+				defer cleanup()
+				arena := make([]byte, mem.TotalLength())
+				if shape != "" {
+					var arenaLen int64
+					mem, arenaLen = fragmentedMem(mem.TotalLength(), 8, 8)
+					arena = make([]byte, arenaLen)
 				}
-				if err != nil {
+				opts := client.ListOptions{}
+				if err := f.WriteList(arena, mem, file, opts); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.SetBytes(mem.TotalLength())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var err error
+					if dir == "write" {
+						err = f.WriteList(arena, mem, file, opts)
+					} else {
+						err = f.ReadList(arena, mem, file, opts)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

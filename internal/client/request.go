@@ -351,7 +351,15 @@ func (f *File) exec(ctx context.Context, req Request) (Result, error) {
 	}
 	ctx = withCallTimeout(ctx, req.CallTimeout)
 	ctx = withRetryPolicy(ctx, req.Retry)
-	res := Result{Method: rv.method, Bytes: rv.mem.TotalLength()}
+	res := Result{Method: rv.method}
+	if rv.method == AccessList {
+		// The list path totals the memory list in its one checking pass.
+		if res.Bytes, err = checkLists(req.Arena, rv.mem, rv.file); err != nil {
+			return res, err
+		}
+	} else {
+		res.Bytes = rv.mem.TotalLength()
+	}
 
 	if err := ctx.Err(); err != nil {
 		return res, err // a canceled Start never touches the wire

@@ -115,7 +115,7 @@ func (f *File) WriteSieve(arena []byte, mem, file ioseg.List, opts SieveOptions)
 // wrappers.
 func (f *File) readSieve(ctx context.Context, arena []byte, mem, file ioseg.List, opts SieveOptions) (SieveStats, error) {
 	var st SieveStats
-	if err := checkLists(arena, mem, file); err != nil {
+	if _, err := checkLists(arena, mem, file); err != nil {
 		return st, err
 	}
 	stream := make([]byte, file.TotalLength())
@@ -144,7 +144,7 @@ func (f *File) readSieve(ctx context.Context, arena []byte, mem, file ioseg.List
 
 func (f *File) writeSieve(ctx context.Context, arena []byte, mem, file ioseg.List, opts SieveOptions) (SieveStats, error) {
 	var st SieveStats
-	if err := checkLists(arena, mem, file); err != nil {
+	if _, err := checkLists(arena, mem, file); err != nil {
 		return st, err
 	}
 	stream, err := memio.Gather(arena, mem)

@@ -14,9 +14,9 @@
 package memio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
 	"pvfs/internal/ioseg"
 )
@@ -156,91 +156,85 @@ func Scatter(arena []byte, mem ioseg.List, stream []byte) error {
 	return nil
 }
 
-// StreamMap indexes a region list by cumulative stream position, so
-// stream bytes can be copied to or from the arena regions directly —
-// without materializing the full packed stream — given only a stream
-// offset. It is the zero-copy engine of pipelined list I/O: each
-// response (or request payload) names a stream range, and the map
-// resolves that range to arena extents in O(log n) plus the extents
-// touched. A StreamMap is immutable after construction and safe for
-// concurrent use.
-type StreamMap struct {
-	regions ioseg.List
-	prefix  []int64 // prefix[i] = stream position of regions[i]'s first byte
+// Cursor is a position in the stream of a memory region list: the
+// region holding the next stream byte and how far into that region it
+// lies; the zero value is the stream's start. It is the zero-copy
+// engine of pipelined list and datatype I/O.
+// A planner walks the list forward once, recording the cursor at the
+// first byte of each request piece; the copy loops later resume from
+// those recorded cursors and move the piece's bytes straight between
+// the arena and a pooled message body — no prefix index and no staging
+// stream is built, and the work per memory region is constant.
+//
+// Cursor methods take the list as an argument and never validate it:
+// callers check up front that every region lies inside the arena and
+// that the stream range stays within the list, so the copy loop relies
+// on Go's bounds checks alone. A Cursor is a plain value; copies of one
+// move independently, so recorded cursors may be used concurrently
+// when their byte ranges are disjoint.
+type Cursor struct {
+	region int   // index of the region holding the next stream byte
+	off    int64 // bytes of mem[region] already passed
 }
 
-// NewStreamMap builds the cumulative index over l. The list is aliased,
-// not copied; callers must not mutate it afterwards.
-func NewStreamMap(l ioseg.List) *StreamMap {
-	prefix := make([]int64, len(l)+1)
-	for i, s := range l {
-		prefix[i+1] = prefix[i] + s.Length
+// Skip advances the cursor n stream bytes without copying.
+func (c *Cursor) Skip(mem ioseg.List, n int64) {
+	i, off := c.region, c.off
+	for n > 0 {
+		r := mem[i].Length - off
+		if n < r {
+			off += n
+			break
+		}
+		n -= r
+		i, off = i+1, 0
 	}
-	return &StreamMap{regions: l, prefix: prefix}
+	c.region, c.off = i, off
 }
 
-// Total returns the stream length the map covers.
-func (m *StreamMap) Total() int64 { return m.prefix[len(m.prefix)-1] }
+// Gather fills dst with the len(dst) stream bytes at the cursor, read
+// from their arena extents, and advances past them (the write
+// direction).
+func (c *Cursor) Gather(dst, arena []byte, mem ioseg.List) { c.move(arena, mem, dst, false) }
 
-// seek returns the index of the region containing stream position pos.
-func (m *StreamMap) seek(pos int64) int {
-	// Binary search for the last prefix entry <= pos, skipping any
-	// empty regions that share the position.
-	i := sort.Search(len(m.regions), func(i int) bool { return m.prefix[i+1] > pos })
-	return i
-}
+// Scatter copies src to the arena extents of the len(src) stream bytes
+// at the cursor and advances past them (the read direction).
+func (c *Cursor) Scatter(arena []byte, mem ioseg.List, src []byte) { c.move(arena, mem, src, true) }
 
-// CopyIn copies src — stream bytes beginning at stream position pos —
-// into the arena extents those positions map to (the scatter direction
-// of a list read). Concurrent CopyIn calls are safe when their stream
-// ranges are disjoint and the regions do not overlap in arena space.
-func (m *StreamMap) CopyIn(arena []byte, pos int64, src []byte) error {
-	if pos < 0 || pos+int64(len(src)) > m.Total() {
-		return fmt.Errorf("memio: stream range [%d,+%d) outside stream of %d bytes",
-			pos, len(src), m.Total())
-	}
-	for i := m.seek(pos); len(src) > 0; i++ {
-		s := m.regions[i]
-		off := pos - m.prefix[i] // consumed bytes within region i
-		n := s.Length - off
-		if r := int64(len(src)); r < n {
-			n = r
+// move is the one gather/scatter kernel: it pairs buf, which holds
+// stream bytes contiguously, with the arena extents the stream bytes
+// at the cursor map to, and copies each pair toward the arena when
+// toArena is set and toward buf otherwise. A whole 8-byte region — a
+// double in a scientific code's memory layout, the FLASH case — moves
+// as one load and one store instead of a runtime.memmove call; other
+// pieces use copy.
+func (c *Cursor) move(arena []byte, mem ioseg.List, buf []byte, toArena bool) {
+	i, off := c.region, c.off
+	for d := 0; d < len(buf); {
+		s := mem[i]
+		if off == 0 && s.Length == 8 && len(buf)-d >= 8 {
+			if toArena {
+				binary.LittleEndian.PutUint64(arena[s.Offset:], binary.LittleEndian.Uint64(buf[d:]))
+			} else {
+				binary.LittleEndian.PutUint64(buf[d:], binary.LittleEndian.Uint64(arena[s.Offset:]))
+			}
+			d += 8
+			i++
+			continue
 		}
-		dst := s.Offset + off
-		if dst+n > int64(len(arena)) {
-			return fmt.Errorf("memio: region %d (%v) outside arena of %d bytes", i, s, len(arena))
+		n := min(s.Length-off, int64(len(buf)-d))
+		b, a := buf[d:d+int(n)], arena[s.Offset+off:s.Offset+off+n]
+		if toArena {
+			copy(a, b)
+		} else {
+			copy(b, a)
 		}
-		copy(arena[dst:dst+n], src[:n])
-		src = src[n:]
-		pos += n
-	}
-	return nil
-}
-
-// AppendOut appends the n stream bytes beginning at stream position pos,
-// gathered from the arena extents they map to, onto dst (the gather
-// direction of a list write) and returns the extended slice.
-func (m *StreamMap) AppendOut(dst []byte, arena []byte, pos, n int64) ([]byte, error) {
-	if pos < 0 || pos+n > m.Total() {
-		return dst, fmt.Errorf("memio: stream range [%d,+%d) outside stream of %d bytes",
-			pos, n, m.Total())
-	}
-	for i := m.seek(pos); n > 0; i++ {
-		s := m.regions[i]
-		off := pos - m.prefix[i]
-		c := s.Length - off
-		if c > n {
-			c = n
+		d += int(n)
+		if off += n; off == s.Length {
+			i, off = i+1, 0
 		}
-		src := s.Offset + off
-		if src+c > int64(len(arena)) {
-			return dst, fmt.Errorf("memio: region %d (%v) outside arena of %d bytes", i, s, len(arena))
-		}
-		dst = append(dst, arena[src:src+c]...)
-		n -= c
-		pos += c
 	}
-	return dst, nil
+	c.region, c.off = i, off
 }
 
 // StreamIndex locates the byte at stream position pos within the

@@ -377,12 +377,20 @@ func BenchmarkGather(b *testing.B) {
 	}
 }
 
-// --- StreamMap ---
+// --- Cursor ---
 
-// TestStreamMapMatchesScatter checks CopyIn against the reference
-// Scatter implementation: scattering a stream in arbitrary chunks
-// through a StreamMap must produce the same arena image.
-func TestStreamMapMatchesScatter(t *testing.T) {
+// cursorAt returns a cursor at stream position pos of mem.
+func cursorAt(mem ioseg.List, pos int64) Cursor {
+	var c Cursor
+	c.Skip(mem, pos)
+	return c
+}
+
+// TestCursorMatchesScatter checks Cursor.Scatter against the reference
+// Scatter implementation: scattering a stream in arbitrary chunks, both
+// from one running cursor and from a cursor freshly skipped to each
+// chunk, must produce the same arena image.
+func TestCursorMatchesScatter(t *testing.T) {
 	mem := ioseg.List{seg(10, 5), seg(0, 3), seg(40, 1), seg(20, 7)}
 	stream := make([]byte, mem.TotalLength())
 	for i := range stream {
@@ -392,31 +400,26 @@ func TestStreamMapMatchesScatter(t *testing.T) {
 	if err := Scatter(want, mem, stream); err != nil {
 		t.Fatal(err)
 	}
-
-	m := NewStreamMap(mem)
-	if m.Total() != mem.TotalLength() {
-		t.Fatalf("Total = %d, want %d", m.Total(), mem.TotalLength())
-	}
 	for _, chunk := range []int{1, 2, 5, 16} {
-		got := make([]byte, 64)
+		running := make([]byte, 64)
+		skipped := make([]byte, 64)
+		var c Cursor
 		for pos := 0; pos < len(stream); pos += chunk {
-			end := pos + chunk
-			if end > len(stream) {
-				end = len(stream)
-			}
-			if err := m.CopyIn(got, int64(pos), stream[pos:end]); err != nil {
-				t.Fatalf("chunk %d at %d: %v", chunk, pos, err)
-			}
+			end := min(pos+chunk, len(stream))
+			c.Scatter(running, mem, stream[pos:end])
+			fresh := cursorAt(mem, int64(pos))
+			fresh.Scatter(skipped, mem, stream[pos:end])
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("chunk %d: CopyIn image differs from Scatter", chunk)
+		if !bytes.Equal(running, want) || !bytes.Equal(skipped, want) {
+			t.Fatalf("chunk %d: Cursor.Scatter image differs from Scatter", chunk)
 		}
 	}
 }
 
-// TestStreamMapMatchesGather checks AppendOut against Gather: gathering
-// the stream in arbitrary chunks must reproduce Gather's output.
-func TestStreamMapMatchesGather(t *testing.T) {
+// TestCursorMatchesGather checks Cursor.Gather against Gather:
+// gathering the stream in arbitrary chunks must reproduce Gather's
+// output.
+func TestCursorMatchesGather(t *testing.T) {
 	arena := make([]byte, 64)
 	for i := range arena {
 		arena[i] = byte(i * 7)
@@ -426,70 +429,168 @@ func TestStreamMapMatchesGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewStreamMap(mem)
+	total := mem.TotalLength()
 	for _, chunk := range []int64{1, 3, 8, 25} {
-		var got []byte
-		for pos := int64(0); pos < m.Total(); pos += chunk {
-			n := chunk
-			if pos+n > m.Total() {
-				n = m.Total() - pos
-			}
-			got, err = m.AppendOut(got, arena, pos, n)
-			if err != nil {
-				t.Fatalf("chunk %d at %d: %v", chunk, pos, err)
-			}
+		running := make([]byte, total)
+		skipped := make([]byte, total)
+		var c Cursor
+		for pos := int64(0); pos < total; pos += chunk {
+			end := min(pos+chunk, total)
+			c.Gather(running[pos:end], arena, mem)
+			fresh := cursorAt(mem, pos)
+			fresh.Gather(skipped[pos:end], arena, mem)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("chunk %d: AppendOut stream differs from Gather", chunk)
+		if !bytes.Equal(running, want) || !bytes.Equal(skipped, want) {
+			t.Fatalf("chunk %d: Cursor.Gather stream differs from Gather", chunk)
 		}
 	}
 }
 
-// TestStreamMapBounds rejects out-of-range stream and arena accesses.
-func TestStreamMapBounds(t *testing.T) {
+// TestCursorFragmentedProperty drives the kernel's piece sizes —
+// empty, 1-16 B, the 8 B fast path and larger runs — against the
+// Gather/Scatter reference, moving the stream in random chunks from
+// running cursors and from cursors skipped to each chunk.
+func TestCursorFragmentedProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var mem ioseg.List
+		var off int64
+		for i := 0; i < 1+r.Intn(300); i++ {
+			n := int64(r.Intn(17))
+			switch r.Intn(4) {
+			case 0:
+				n = 8
+			case 1:
+				n = int64(r.Intn(200))
+			}
+			mem = append(mem, seg(off, n))
+			off += n + int64(r.Intn(5))
+		}
+		arena := make([]byte, off)
+		r.Read(arena)
+		want, err := Gather(arena, mem)
+		if err != nil {
+			return false
+		}
+		total := int64(len(want))
+		got := make([]byte, total)
+		skipped := make([]byte, total)
+		back := make([]byte, len(arena))
+		var gc, sc Cursor
+		for pos := int64(0); pos < total; {
+			end := min(pos+1+int64(r.Intn(40)), total)
+			gc.Gather(got[pos:end], arena, mem)
+			sc.Scatter(back, mem, want[pos:end])
+			fresh := cursorAt(mem, pos)
+			fresh.Gather(skipped[pos:end], arena, mem)
+			pos = end
+		}
+		ref := make([]byte, len(arena))
+		if err := Scatter(ref, mem, want); err != nil {
+			return false
+		}
+		return bytes.Equal(got, want) && bytes.Equal(skipped, want) && bytes.Equal(back, ref)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustPanic reports whether fn panicked.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestCursorBounds: the cursor trusts the up-front checks, so an
+// access past the arena or past the list's stream is stopped by Go's
+// bounds checks, never served from memory outside the lists.
+func TestCursorBounds(t *testing.T) {
 	mem := ioseg.List{seg(0, 4), seg(100, 4)}
-	m := NewStreamMap(mem)
 	arena := make([]byte, 8) // too small for the second region
-	if err := m.CopyIn(arena, 6, []byte{1, 2}); err == nil {
-		t.Fatal("CopyIn past the arena succeeded")
-	}
-	if err := m.CopyIn(arena, -1, []byte{1}); err == nil {
-		t.Fatal("negative stream position accepted")
-	}
-	if err := m.CopyIn(arena, 7, []byte{1, 2}); err == nil {
-		t.Fatal("stream overrun accepted")
-	}
-	if _, err := m.AppendOut(nil, arena, 5, 4); err == nil {
-		t.Fatal("AppendOut past the arena succeeded")
-	}
-	if _, err := m.AppendOut(nil, arena, 0, 9); err == nil {
-		t.Fatal("AppendOut stream overrun accepted")
-	}
+	mustPanic(t, "Scatter past the arena", func() {
+		c := cursorAt(mem, 3)
+		c.Scatter(arena, mem, []byte{1, 2})
+	})
+	mustPanic(t, "Gather past the arena", func() {
+		c := cursorAt(mem, 3)
+		c.Gather(make([]byte, 4), arena, mem)
+	})
+	mustPanic(t, "stream overrun", func() {
+		c := cursorAt(mem, 7)
+		c.Scatter(make([]byte, 128), mem, []byte{1, 2})
+	})
+	mustPanic(t, "Skip overrun", func() {
+		var c Cursor
+		c.Skip(mem, 9)
+	})
 	// In-range operations on the small arena's region still work.
-	if err := m.CopyIn(arena, 0, []byte{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
+	var c Cursor
+	c.Scatter(arena, mem, []byte{9, 9, 9, 9})
+	if c != (Cursor{region: 1}) {
+		t.Fatalf("cursor after the first region = %+v", c)
 	}
-	if _, err := m.AppendOut(nil, arena, 0, 4); err != nil {
-		t.Fatal(err)
+	got := make([]byte, 4)
+	c = Cursor{}
+	c.Gather(got, arena, mem)
+	if !bytes.Equal(got, []byte{9, 9, 9, 9}) {
+		t.Fatalf("Gather = %v", got)
 	}
 }
 
-// TestStreamMapEmptyRegions tolerates empty segments in the list.
-func TestStreamMapEmptyRegions(t *testing.T) {
+// TestCursorEmptyRegions tolerates empty segments in the list.
+func TestCursorEmptyRegions(t *testing.T) {
 	mem := ioseg.List{seg(0, 2), seg(5, 0), seg(8, 2)}
-	m := NewStreamMap(mem)
 	arena := make([]byte, 16)
-	if err := m.CopyIn(arena, 0, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
+	var c Cursor
+	c.Scatter(arena, mem, []byte{1, 2, 3, 4})
 	if arena[0] != 1 || arena[1] != 2 || arena[8] != 3 || arena[9] != 4 {
 		t.Fatalf("arena = %v", arena[:10])
 	}
-	got, err := m.AppendOut(nil, arena, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c = cursorAt(mem, 1)
+	got := make([]byte, 2)
+	c.Gather(got, arena, mem)
 	if !bytes.Equal(got, []byte{2, 3}) {
-		t.Fatalf("AppendOut = %v", got)
+		t.Fatalf("Gather = %v", got)
+	}
+}
+
+// BenchmarkCursor moves a FLASH-like stream — 8 B memory pieces with
+// 8 B gaps — through the cursor kernel in 4 KiB chunks, each resumed
+// from a recorded cursor as the list and datatype paths do.
+func BenchmarkCursor(b *testing.B) {
+	const pieces = 65536
+	mem := make(ioseg.List, pieces)
+	for i := range mem {
+		mem[i] = seg(int64(i)*16, 8)
+	}
+	arena := make([]byte, pieces*16)
+	buf := make([]byte, pieces*8)
+	var marks []Cursor
+	var c Cursor
+	for pos := 0; pos < len(buf); pos += 4096 {
+		marks = append(marks, c)
+		c.Skip(mem, 4096)
+	}
+	for _, dir := range []string{"gather", "scatter"} {
+		b.Run(dir, func(b *testing.B) {
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k, m := range marks {
+					chunk := buf[k*4096 : (k+1)*4096]
+					if dir == "gather" {
+						m.Gather(chunk, arena, mem)
+					} else {
+						m.Scatter(arena, mem, chunk)
+					}
+				}
+			}
+		})
 	}
 }

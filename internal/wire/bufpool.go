@@ -10,7 +10,8 @@ import "sync/atomic"
 // Buffers are kept in power-of-two size classes backed by buffered
 // channels rather than sync.Pool: a channel free list never allocates
 // on Get/Put (sync.Pool boxes the slice header on every Put), gives a
-// hard bound on parked memory per class, and needs no GC integration.
+// hard bound on parked memory per class (one byte budget, classBudget,
+// below), and needs no GC integration.
 // Misses simply allocate and surplus Puts are dropped, so the pool is
 // always safe to bypass.
 //
@@ -23,21 +24,38 @@ const (
 	maxBufShift = 26 // 64 MiB == MaxBodyLen
 )
 
-// bufClasses holds one free list per power-of-two size class. Class
-// capacities taper off so large classes cannot park unbounded memory:
-// ≤64 KiB classes keep up to 64 buffers, ≤1 MiB up to 16, above that 4.
+// classBudget is the parked-byte budget of one size class: a class
+// parks classBudget / size buffers, capped at 64 and never fewer than
+// 4. It is sized for the pipelined list-write window. A 32 × 4 KiB list
+// write body is 131,652 B and lands in the 256 KiB class; a process
+// holding two client ranks and the daemons they talk to keeps up to
+// 2 ranks × 12 requests × (client body + daemon body) = 48 such bodies
+// live at once, so that class must park at least 48 buffers or the
+// surplus allocates and zeroes a fresh 256 KiB per op. 16 MiB parks 64
+// in every class up to 256 KiB, then halves the count per class up to
+// 4 MiB; the 4-buffer floor keeps large transfers reusable.
+const classBudget = 16 << 20
+
+// maxParkedBytes is the worst case the pool can park, summed over all
+// classes: 64 buffers of each class from 512 B to 256 KiB (33,521,664
+// B), 16 MiB in each of the 512 KiB, 1, 2 and 4 MiB classes, and 4 of
+// each class from 8 to 64 MiB (503,316,480 B). The class-count tiers
+// this budget replaced (64 up to 64 KiB, 16 up to 1 MiB, 4 above)
+// parked at most 568,295,424 B.
+const maxParkedBytes = 603_947_008
+
+// classCap returns how many buffers the class of 1<<shift bytes parks.
+func classCap(shift int) int {
+	return min(max(classBudget>>shift, 4), 64)
+}
+
+// bufClasses holds one free list per power-of-two size class, each
+// parking up to classCap buffers.
 var bufClasses [maxBufShift + 1]chan []byte
 
 func init() {
 	for shift := minBufShift; shift <= maxBufShift; shift++ {
-		n := 64
-		switch {
-		case shift > 20: // > 1 MiB
-			n = 4
-		case shift > 16: // > 64 KiB
-			n = 16
-		}
-		bufClasses[shift] = make(chan []byte, n)
+		bufClasses[shift] = make(chan []byte, classCap(shift))
 	}
 }
 

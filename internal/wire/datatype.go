@@ -122,7 +122,7 @@ type WriteDatatypeReq struct {
 }
 
 // AppendTo appends the fixed fields and type encoding to dst; callers
-// gather the payload directly behind it (memio.StreamMap.AppendOut),
+// gather the payload directly behind it (memio.Cursor.Gather),
 // avoiding a staging copy.
 func (m *WriteDatatypeReq) AppendTo(dst []byte) []byte {
 	dst = m.ReadDatatypeReq.AppendTo(dst)
